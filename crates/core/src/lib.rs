@@ -18,7 +18,8 @@
 //!
 //! ```text
 //!   cpsim (this crate)         Scenario builder, CloudSim driver, experiments
-//!   ├─ cpsim-workload          arrivals, op mixes, profiles, traces, analysis
+//!   ├─ cpsim-workload          arrivals, op mixes, profiles, traces, analysis,
+//!   │                          the management stack every driver runs
 //!   ├─ cpsim-cloud             orgs/vApps/leases, request → op-DAG translation
 //!   ├─ cpsim-mgmt              the control plane: orchestration, DB, admission
 //!   ├─ cpsim-hostagent         per-host agents, heartbeats

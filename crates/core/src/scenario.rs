@@ -6,7 +6,9 @@ use cpsim_des::{SimTime, Streams};
 use cpsim_faults::FaultPlan;
 use cpsim_inventory::{DatastoreId, DatastoreSpec, HostId, HostSpec, VmId, VmSpec};
 use cpsim_mgmt::{ControlPlane, ControlPlaneConfig};
-use cpsim_workload::{Profile, RequestGenerator, Topology, WorkloadSpec};
+use cpsim_workload::{
+    install_templates, Forward, MgmtStack, Profile, RequestGenerator, Topology, WorkloadSpec,
+};
 
 use crate::driver::CloudSim;
 
@@ -29,15 +31,7 @@ pub struct Scenario {
 impl Scenario {
     /// Starts from a workload profile (topology + workload together).
     pub fn from_profile(profile: &Profile) -> Self {
-        Scenario {
-            seed: 0,
-            config: ControlPlaneConfig::default(),
-            topology: profile.topology.clone(),
-            workload: Some(profile.workload.clone()),
-            policy: ProvisioningPolicy::default(),
-            collect_trace: true,
-            fault_plan: None,
-        }
+        Scenario::bare(profile.topology.clone()).workload(Some(profile.workload.clone()))
     }
 
     /// Starts from a bare topology with no workload generator (requests
@@ -136,17 +130,9 @@ impl Scenario {
             _ => Vec::new(),
         };
 
-        CloudSim::assemble(
-            plane,
-            director,
-            generator,
-            hosts,
-            datastores,
-            templates,
-            org,
-            self.collect_trace,
-            fault_events,
-        )
+        let mut stack = MgmtStack::new(plane, director, org, hosts, datastores, templates, Forward);
+        stack.collect_trace = self.collect_trace;
+        CloudSim::assemble(stack, generator, fault_events)
     }
 }
 
@@ -191,26 +177,14 @@ fn materialize_topology(
         }
     }
 
-    let mut templates = Vec::new();
-    for (i, (name, vcpus, mem_mb, disk_gb)) in topology.templates.iter().enumerate() {
-        let host = hosts[i % hosts.len()];
-        let home_ds = datastores[i % datastores.len()];
-        let spec = VmSpec::new(*vcpus, *mem_mb, *disk_gb);
-        let template = plane
-            .install_template(name, spec, host, home_ds)
-            .unwrap_or_else(|e| panic!("installing template {name}: {e}"));
-        if topology.seed_templates_everywhere {
-            for &ds in &datastores {
-                if ds != home_ds {
-                    plane
-                        .seed_template_now(template, ds)
-                        .unwrap_or_else(|e| panic!("seeding template {name}: {e}"));
-                }
-            }
-        }
-        director.register_template(template);
-        templates.push(template);
-    }
+    let templates = install_templates(
+        plane,
+        director,
+        &hosts,
+        &datastores,
+        &topology.templates,
+        topology.seed_templates_everywhere,
+    );
 
     // Pre-provisioned population (enterprise baseline).
     if topology.initial_vapps > 0 {

@@ -2,42 +2,47 @@
 //! discrete-event kernel, coordinating through the shared
 //! [`PlacementStore`](crate::store::PlacementStore).
 //!
-//! Each shard is a full management stack — plane, director, trace — and
-//! handles its own events exactly as the single-plane driver does, on a
-//! **private** event queue. The canonical event order of a federated run
-//! is ascending `(virtual time, shard index, per-shard sequence)`; a
-//! coordinator pseudo-shard (index = shard count) carries the cross-shard
-//! migration machinery and sorts after every real shard at equal time.
-//! Because the order is defined per shard rather than by a global
-//! arrival sequence, it is *independent of how the shards are executed*:
-//! the sequential scan loop (the oracle) and the conservative parallel
-//! runner (the private `runner` module) produce byte-identical results.
+//! Each shard is a full [`MgmtStack`] — plane, director, trace — the
+//! same stack the single-plane driver runs, on a **private** event
+//! queue. The canonical event order of a federated run is ascending
+//! `(virtual time, shard index, per-shard sequence)`; a coordinator
+//! pseudo-shard (index = shard count) carries the cross-shard migration
+//! machinery and sorts after every real shard at equal time. Because the
+//! order is defined per shard rather than by a global arrival sequence,
+//! it is *independent of how the shards are executed*: the sequential
+//! scan loop (the oracle) and the conservative parallel runner (the
+//! private `runner` module) produce byte-identical results.
 //!
-//! The federation layer adds three things on top of the per-shard
-//! stacks:
+//! The one thing the federation adds to each stack is its report hook,
+//! the shard's ledger (`ShardLedger`). It sees every finished task after
+//! the stack has traced it:
+//!
+//! - **Ledger settlement**: when a gated placement's task completes, its
+//!   [`OpenCommit`] is settled — kept as a reservation on success,
+//!   released back to the pool on failure or rollback. Destroying the VM
+//!   later releases the reservation. Settlement only touches the store
+//!   for placements on shared ids; home placements stay shard-private.
+//! - **Migration diversion**: reports tagged at or above
+//!   [`MIG_TAG_BASE`] go to the coordinator instead of the director.
+//!
+//! Around the stacks the federation drives two protocols:
 //!
 //! 1. **Sync ticks** ([`ShardEvent::StoreSync`]): every staleness
 //!    window, each shard folds foreign commits on the shared pool into
 //!    its local inventory mirror (and pays CPU/DB time for the refresh).
-//! 2. **Ledger settlement**: when a gated placement's task completes, its
-//!    [`OpenCommit`] is settled — kept as a reservation on success,
-//!    released back to the pool on failure or rollback. Destroying the VM
-//!    later releases the reservation. Settlement only touches the store
-//!    for placements on shared ids; home placements stay shard-private.
-//! 3. **Cross-shard migration**: a two-phase evacuate → handoff → admit
-//!    protocol driven by tagged raw operations (tags at or above
-//!    [`MIG_TAG_BASE`] are reserved for the migration machinery). Runs
-//!    with migrations scheduled execute sequentially: migration events
-//!    hop between shards and would invalidate the lookahead the parallel
-//!    runner relies on.
+//! 2. **Cross-shard migration**: a two-phase evacuate → handoff → admit
+//!    protocol driven by tagged raw operations. Runs with migrations
+//!    scheduled execute sequentially: migration events hop between
+//!    shards and would invalidate the lookahead the parallel runner
+//!    relies on.
 
 use std::sync::Arc;
 
-use cpsim_cloud::{CloudDirector, CloudOut, CloudReport, CloudRequest};
+use cpsim_cloud::{CloudDirector, CloudReport, CloudRequest};
 use cpsim_des::{EventQueue, FastMap, Model, SimDuration, SimTime, Simulation};
 use cpsim_inventory::{DatastoreId, HostId, OrgId, VappId, VmId};
-use cpsim_mgmt::{CloneMode, ControlPlane, Emit, MgmtEvent, OpKind, Operation, TaskReport};
-use cpsim_workload::TraceLog;
+use cpsim_mgmt::{CloneMode, ControlPlane, MgmtEvent, OpKind, Operation, TaskReport};
+use cpsim_workload::{MgmtStack, ReportHook, StackEvent, TraceLog};
 
 use crate::runner;
 use crate::store::{OpenCommit, StoreStats};
@@ -72,6 +77,16 @@ pub enum ShardEvent {
     MigrateAdmit(u64),
 }
 
+impl StackEvent for ShardEvent {
+    fn mgmt(event: MgmtEvent) -> Self {
+        ShardEvent::Mgmt(event)
+    }
+
+    fn lease(vapp: VappId) -> Self {
+        ShardEvent::Lease(vapp)
+    }
+}
+
 /// Events on the coordinator pseudo-shard's queue.
 #[derive(Debug)]
 enum CoordEvent {
@@ -81,56 +96,27 @@ enum CoordEvent {
     MigrateHandoff(u64),
 }
 
-/// Everything the scenario builder materializes for one shard.
-pub(crate) struct ShardSetup {
-    pub(crate) plane: ControlPlane,
-    pub(crate) director: CloudDirector,
-    pub(crate) org: OrgId,
-    pub(crate) hosts: Vec<HostId>,
-    pub(crate) datastores: Vec<DatastoreId>,
-    pub(crate) templates: Vec<VmId>,
-    pub(crate) initial_vms: Vec<VmId>,
-    /// Local ids of the shared spillover pool, for the settlement filter.
-    pub(crate) shared_hosts: Vec<HostId>,
-    pub(crate) shared_ds: Vec<DatastoreId>,
-}
-
-/// One shard's full management stack: the [`Model`] driven by that
-/// shard's private simulation kernel.
-pub(crate) struct ShardCore {
-    shard: usize,
-    plane: ControlPlane,
-    director: CloudDirector,
-    org: OrgId,
-    hosts: Vec<HostId>,
-    datastores: Vec<DatastoreId>,
-    templates: Vec<VmId>,
-    initial_vms: Vec<VmId>,
-    trace: TraceLog,
-    task_reports_kept: Vec<TaskReport>,
-    keep_task_reports: bool,
-    cloud_reports: Vec<CloudReport>,
-    /// Reused emission buffer (see `CloudModel::scratch` in cpsim-core).
-    scratch: Vec<Emit>,
-    /// Pooled routing stack reused across events (see `route_stack`).
-    route_buf: Vec<CloudOut>,
-    cell: Arc<StoreCell>,
-    staleness: SimDuration,
+/// The federation's report hook on one shard's stack: settles the
+/// shared-pool ledger for every finished task and diverts
+/// migration-tagged reports from the director to the coordinator.
+pub(crate) struct ShardLedger {
+    pub(crate) shard: usize,
+    pub(crate) cell: Arc<StoreCell>,
     /// Local ids belonging to the shared pool: placements touching
     /// neither set never recorded an [`OpenCommit`], so settlement can
     /// skip the store (and the turnstile) entirely.
-    shared_hosts: Vec<HostId>,
-    shared_ds: Vec<DatastoreId>,
+    pub(crate) shared_hosts: Vec<HostId>,
+    pub(crate) shared_ds: Vec<DatastoreId>,
     /// Open ledger reservations held by completed placements, keyed by
     /// VM so a later destroy releases the shared capacity.
     // cpsim-lint: allow(no-unordered-iteration): keyed insert/remove only; never iterated
-    reservations: FastMap<VmId, OpenCommit>,
+    pub(crate) reservations: FastMap<VmId, OpenCommit>,
     /// Completed migration-tagged task reports, drained by the
     /// coordinator after each sequential step (empty in threaded runs).
     pub(crate) mig_outbox: Vec<TaskReport>,
 }
 
-impl ShardCore {
+impl ShardLedger {
     /// Settles the shared-pool ledger for a finished task.
     fn settle_ledger(&mut self, now: SimTime, r: &TaskReport) {
         match r.kind {
@@ -173,145 +159,65 @@ impl ShardCore {
             _ => {}
         }
     }
+}
 
-    /// Routes one emission: timers back onto this shard's queue, task
-    /// reports to the ledger and then the director (or the migration
-    /// outbox for tagged reports).
-    fn consume_emit(
-        &mut self,
-        now: SimTime,
-        e: Emit,
-        queue: &mut EventQueue<ShardEvent>,
-    ) -> Option<CloudOut> {
-        match e {
-            Emit::At(t, ev) => {
-                queue.schedule(t, ShardEvent::Mgmt(ev));
-                None
-            }
-            Emit::Done(_, r) | Emit::Failed(_, r) => {
-                self.trace.push_task(&r);
-                if self.keep_task_reports {
-                    self.task_reports_kept.push(r.clone());
-                }
-                self.settle_ledger(now, &r);
-                if r.tag >= MIG_TAG_BASE {
-                    self.mig_outbox.push(r);
-                    None
-                } else {
-                    Some(self.director.on_task_report(now, &r, &mut self.plane))
-                }
-            }
+impl ReportHook for ShardLedger {
+    fn on_report(&mut self, now: SimTime, r: TaskReport) -> Option<TaskReport> {
+        self.settle_ledger(now, &r);
+        if r.tag >= MIG_TAG_BASE {
+            self.mig_outbox.push(r);
+            None
+        } else {
+            Some(r)
         }
     }
+}
 
-    fn route_stack(
-        &mut self,
-        now: SimTime,
-        stack: &mut Vec<CloudOut>,
-        queue: &mut EventQueue<ShardEvent>,
-    ) {
-        while let Some(o) = stack.pop() {
-            self.cloud_reports.extend(o.reports);
-            for (t, vapp) in o.leases {
-                queue.schedule(t, ShardEvent::Lease(vapp));
-            }
-            for e in o.mgmt {
-                if let Some(child) = self.consume_emit(now, e, queue) {
-                    stack.push(child);
-                }
-            }
-        }
-    }
+/// One shard: its management stack with the ledger as its hook, driven
+/// by that shard's private simulation kernel.
+pub(crate) struct ShardCore {
+    pub(crate) stack: MgmtStack<ShardLedger>,
+    pub(crate) staleness: SimDuration,
+    pub(crate) initial_vms: Vec<VmId>,
+}
 
-    fn route(&mut self, now: SimTime, out: CloudOut, queue: &mut EventQueue<ShardEvent>) {
-        let mut stack = std::mem::take(&mut self.route_buf);
-        stack.push(out);
-        self.route_stack(now, &mut stack, queue);
-        self.route_buf = stack;
-    }
-
-    /// Routes the plane emissions accumulated in the scratch buffer,
-    /// leaving the (emptied) buffer in place for the next event.
-    fn route_scratch(&mut self, now: SimTime, queue: &mut EventQueue<ShardEvent>) {
-        let mut emits = std::mem::take(&mut self.scratch);
-        let mut stack = std::mem::take(&mut self.route_buf);
-        for e in emits.drain(..) {
-            if let Some(child) = self.consume_emit(now, e, queue) {
-                stack.push(child);
-            }
-        }
-        self.scratch = emits;
-        self.route_stack(now, &mut stack, queue);
-        self.route_buf = stack;
-    }
-
-    fn sync_gate(&mut self, now: SimTime, queue: &mut EventQueue<ShardEvent>) {
-        debug_assert!(self.scratch.is_empty());
-        let mut emits = std::mem::take(&mut self.scratch);
-        self.plane.sync_placement_gate(now, &mut emits);
-        self.scratch = emits;
-        self.route_scratch(now, queue);
-    }
-
-    fn submit_cloud(
-        &mut self,
-        now: SimTime,
-        req: CloudRequest,
-        queue: &mut EventQueue<ShardEvent>,
-    ) {
-        let (_, out) = self.director.submit(now, req, &mut self.plane);
-        self.route(now, out, queue);
-    }
-
-    fn submit_op(&mut self, now: SimTime, op: Operation, queue: &mut EventQueue<ShardEvent>) {
-        debug_assert!(self.scratch.is_empty());
-        let mut emits = std::mem::take(&mut self.scratch);
-        self.plane.submit(now, op, &mut emits);
-        self.scratch = emits;
-        self.route_scratch(now, queue);
-    }
+/// Folds foreign shared-pool commits into the shard's mirror, charging
+/// the plane for the refresh.
+fn sync_gate(stack: &mut MgmtStack<ShardLedger>, now: SimTime, queue: &mut EventQueue<ShardEvent>) {
+    stack.drive_plane(now, queue, |plane, out| plane.sync_placement_gate(now, out));
 }
 
 impl Model for ShardCore {
     type Event = ShardEvent;
 
     fn handle(&mut self, now: SimTime, event: ShardEvent, queue: &mut EventQueue<ShardEvent>) {
+        let stack = &mut self.stack;
         match event {
-            ShardEvent::Mgmt(ev) => {
-                debug_assert!(self.scratch.is_empty());
-                let mut emits = std::mem::take(&mut self.scratch);
-                self.plane.handle(now, ev, &mut emits);
-                self.scratch = emits;
-                self.route_scratch(now, queue);
-            }
-            ShardEvent::Lease(vapp) => {
-                let out = self.director.on_lease_expiry(now, vapp, &mut self.plane);
-                self.route(now, out, queue);
-            }
-            ShardEvent::Request(req) => self.submit_cloud(now, req, queue),
-            ShardEvent::Op(op) => self.submit_op(now, Operation::new(op), queue),
+            ShardEvent::Mgmt(ev) => stack.handle_mgmt(now, ev, queue),
+            ShardEvent::Lease(vapp) => stack.expire_lease(now, vapp, queue),
+            ShardEvent::Request(req) => stack.submit_cloud(now, req, queue),
+            ShardEvent::Op(op) => stack.submit_op(now, op, queue),
             ShardEvent::StoreSync => {
-                self.sync_gate(now, queue);
+                sync_gate(stack, now, queue);
                 queue.schedule(now + self.staleness, ShardEvent::StoreSync);
             }
             ShardEvent::MigrateEvacuate { id, vm } => {
                 let op = Operation::tagged(OpKind::DestroyVm { vm }, MIG_TAG_BASE + id);
-                self.submit_op(now, op, queue);
+                stack.submit_op(now, op, queue);
             }
             ShardEvent::MigrateAdmit(id) => {
                 // The destination refreshes its shared-pool view first
                 // (it is about to place into it), then admits the VM as
                 // a linked clone of its local template.
-                self.sync_gate(now, queue);
-                let source = self.templates[0];
+                sync_gate(stack, now, queue);
                 let op = Operation::tagged(
                     OpKind::CloneVm {
-                        source,
+                        source: stack.templates[0],
                         mode: CloneMode::Linked,
                     },
                     MIG_TAG_BASE + id,
                 );
-                self.submit_op(now, op, queue);
+                stack.submit_op(now, op, queue);
             }
         }
     }
@@ -382,42 +288,18 @@ pub struct FedSim {
 impl FedSim {
     /// Internal constructor used by [`FedScenario`](crate::FedScenario).
     pub(crate) fn assemble(
-        setups: Vec<ShardSetup>,
+        shards: Vec<ShardCore>,
         cell: Arc<StoreCell>,
-        staleness: SimDuration,
         handoff_delay: SimDuration,
     ) -> Self {
-        let shard_count = setups.len();
+        let shard_count = shards.len();
         let mut shard_sims = Vec::with_capacity(shard_count);
-        for (s, setup) in setups.into_iter().enumerate() {
-            let init = setup.plane.init_events();
-            let core = ShardCore {
-                shard: s,
-                plane: setup.plane,
-                director: setup.director,
-                org: setup.org,
-                hosts: setup.hosts,
-                datastores: setup.datastores,
-                templates: setup.templates,
-                initial_vms: setup.initial_vms,
-                trace: TraceLog::new(),
-                task_reports_kept: Vec::new(),
-                keep_task_reports: false,
-                cloud_reports: Vec::new(),
-                scratch: Vec::new(),
-                route_buf: Vec::new(),
-                cell: Arc::clone(&cell),
-                staleness,
-                shared_hosts: setup.shared_hosts,
-                shared_ds: setup.shared_ds,
-                reservations: FastMap::default(),
-                mig_outbox: Vec::new(),
-            };
+        for (s, core) in shards.into_iter().enumerate() {
+            let init = core.stack.initial_events();
+            let staleness = core.staleness;
             let mut sim = Simulation::new(core);
-            for e in init {
-                if let Emit::At(t, ev) = e {
-                    sim.schedule(t, ShardEvent::Mgmt(ev));
-                }
+            for (t, ev) in init {
+                sim.schedule(t, ev);
             }
             if shard_count > 1 {
                 // Stagger the first sync of each shard across one window
@@ -533,11 +415,11 @@ impl FedSim {
     /// Drains shard `s`'s migration-tagged task reports into the
     /// coordinator's state machine.
     fn drain_outbox(&mut self, s: usize) {
-        if self.shard_sims[s].model().mig_outbox.is_empty() {
+        if self.shard_sims[s].model().stack.hook.mig_outbox.is_empty() {
             return;
         }
         let now = self.shard_sims[s].now();
-        let reports = std::mem::take(&mut self.shard_sims[s].model_mut().mig_outbox);
+        let reports = std::mem::take(&mut self.shard_sims[s].model_mut().stack.hook.mig_outbox);
         for r in reports {
             self.on_migration_report(now, s, &r);
         }
@@ -550,25 +432,14 @@ impl FedSim {
             return;
         };
         let succeeded = r.error.is_none() && !r.aborted;
-        if s == m.src && r.kind == "destroy-vm" {
-            if succeeded {
-                self.coord.queue.schedule(
-                    now + self.coord.handoff_delay,
-                    CoordEvent::MigrateHandoff(id),
-                );
-            } else {
-                self.coord.migrations.remove(&id);
-                self.coord.reports.push(MigrationReport {
-                    id,
-                    src: m.src,
-                    dst: m.dst,
-                    vm: m.vm,
-                    started: m.started,
-                    completed: now,
-                    success: false,
-                });
-            }
-        } else if s == m.dst {
+        let evacuated = s == m.src && r.kind == "destroy-vm";
+        if evacuated && succeeded {
+            self.coord.queue.schedule(
+                now + self.coord.handoff_delay,
+                CoordEvent::MigrateHandoff(id),
+            );
+        } else if evacuated || s == m.dst {
+            // A failed evacuation ends the migration, as does the admit.
             self.coord.migrations.remove(&id);
             self.coord.reports.push(MigrationReport {
                 id,
@@ -577,7 +448,7 @@ impl FedSim {
                 vm: m.vm,
                 started: m.started,
                 completed: now,
-                success: succeeded,
+                success: succeeded && !evacuated,
             });
         }
     }
@@ -611,38 +482,38 @@ impl FedSim {
     /// Keep full task reports in memory on every shard (off by default).
     pub fn keep_task_reports(&mut self, on: bool) {
         for sim in &mut self.shard_sims {
-            sim.model_mut().keep_task_reports = on;
+            sim.model_mut().stack.keep_task_reports = on;
         }
     }
 
     /// Shard `s`'s control plane.
     pub fn plane(&self, s: usize) -> &ControlPlane {
-        &self.shard_sims[s].model().plane
+        &self.shard_sims[s].model().stack.plane
     }
 
     /// Shard `s`'s cloud director.
     pub fn director(&self, s: usize) -> &CloudDirector {
-        &self.shard_sims[s].model().director
+        &self.shard_sims[s].model().stack.director
     }
 
     /// Shard `s`'s default org.
     pub fn org(&self, s: usize) -> OrgId {
-        self.shard_sims[s].model().org
+        self.shard_sims[s].model().stack.org
     }
 
     /// Shard `s`'s hosts, in creation order (home first, then shared).
     pub fn hosts(&self, s: usize) -> &[HostId] {
-        &self.shard_sims[s].model().hosts
+        &self.shard_sims[s].model().stack.hosts
     }
 
     /// Shard `s`'s datastores, in creation order (home first, then shared).
     pub fn datastores(&self, s: usize) -> &[DatastoreId] {
-        &self.shard_sims[s].model().datastores
+        &self.shard_sims[s].model().stack.datastores
     }
 
     /// Shard `s`'s catalog templates.
     pub fn templates(&self, s: usize) -> &[VmId] {
-        &self.shard_sims[s].model().templates
+        &self.shard_sims[s].model().stack.templates
     }
 
     /// Shard `s`'s pre-installed VMs, in creation order.
@@ -652,23 +523,23 @@ impl FedSim {
 
     /// Shard `s`'s operation trace.
     pub fn trace(&self, s: usize) -> &TraceLog {
-        &self.shard_sims[s].model().trace
+        &self.shard_sims[s].model().stack.trace
     }
 
     /// Shard `s`'s completed cloud requests.
     pub fn cloud_reports(&self, s: usize) -> &[CloudReport] {
-        &self.shard_sims[s].model().cloud_reports
+        &self.shard_sims[s].model().stack.cloud_reports
     }
 
     /// Shard `s`'s full task reports (only if `keep_task_reports` is on).
     pub fn task_reports(&self, s: usize) -> &[TaskReport] {
-        &self.shard_sims[s].model().task_reports_kept
+        &self.shard_sims[s].model().stack.task_reports
     }
 
     /// A load observation for routing: tasks in flight plus pending
     /// admissions on shard `s`.
     pub fn shard_load(&self, s: usize) -> usize {
-        let plane = &self.shard_sims[s].model().plane;
+        let plane = &self.shard_sims[s].model().stack.plane;
         plane.tasks_in_flight() + plane.admission().pending_len()
     }
 
@@ -793,6 +664,21 @@ mod tests {
         }
     }
 
+    /// Every task a shard finished reached its trace and its kept
+    /// reports exactly once, whether or not the director saw it.
+    fn assert_routing_conserved(sim: &FedSim) {
+        for s in 0..sim.shard_count() {
+            let st = sim.plane(s).stats();
+            let finished = st.completed() + st.failed();
+            assert_eq!(finished, sim.trace(s).len() as u64, "shard {s} trace");
+            assert_eq!(
+                finished,
+                sim.task_reports(s).len() as u64,
+                "shard {s} kept reports"
+            );
+        }
+    }
+
     fn burst(sim: &mut FedSim, s: usize, n: u64) {
         let org = sim.org(s);
         let template = sim.templates(s)[0];
@@ -861,6 +747,7 @@ mod tests {
                 sim.run_until(SimTime::from_secs(1_800 * h));
             }
             sim.check_store_invariants().unwrap();
+            assert_routing_conserved(&sim);
             let per_shard: Vec<_> = (0..3)
                 .map(|s| {
                     let st = sim.plane(s).stats();
@@ -912,9 +799,13 @@ mod tests {
         let mut topo = contended(2);
         topo.initial_vms_per_shard = vec![3, 0];
         let mut sim = FedScenario::new(topo).seed(5).build();
+        sim.keep_task_reports(true);
         let vm = sim.initial_vms(0)[0];
         let id = sim.schedule_migration(SimTime::from_secs(1), 0, 1, vm);
         sim.run_until(SimTime::from_hours(1));
+        // The ledger hook keeps the migration-tagged reports from the
+        // director, but both shards still trace them.
+        assert_routing_conserved(&sim);
         assert_eq!(sim.migrations_in_flight(), 0);
         let reports = sim.migration_reports();
         assert_eq!(reports.len(), 1);

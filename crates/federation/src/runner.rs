@@ -103,7 +103,8 @@ pub(crate) fn run_threaded(
     });
     cell.set_active(false);
     debug_assert!(
-        sims.iter().all(|s| s.model().mig_outbox.is_empty()),
+        sims.iter()
+            .all(|s| s.model().stack.hook.mig_outbox.is_empty()),
         "migration reports in a threaded slice"
     );
 }

@@ -6,12 +6,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cpsim_cloud::{CloudDirector, ProvisioningPolicy};
-use cpsim_des::{SimDuration, Streams};
+use cpsim_des::{FastMap, SimDuration, Streams};
 use cpsim_faults::RecoveryPolicy;
 use cpsim_inventory::{DatastoreSpec, HostSpec, VmSpec};
 use cpsim_mgmt::{CloneMode, ControlPlane, ControlPlaneConfig};
+use cpsim_workload::{install_templates, MgmtStack};
 
-use crate::driver::{FedSim, ShardSetup};
+use crate::driver::{FedSim, ShardCore, ShardLedger};
 use crate::gate::StoreGate;
 use crate::store::PlacementStore;
 use crate::turnstile::StoreCell;
@@ -173,7 +174,7 @@ impl FedScenario {
             .map(|_| cell.locked(|st| st.add_shared_host(t.host_mem_mb)))
             .collect();
 
-        let mut setups: Vec<ShardSetup> = Vec::with_capacity(t.shards);
+        let mut shards = Vec::with_capacity(t.shards);
         for s in 0..t.shards {
             // Shard 0 draws from the same substream family as the
             // single-plane scenario builder, so a one-shard federation
@@ -198,16 +199,14 @@ impl FedScenario {
                     t.ds_bandwidth_mbps,
                 )));
             }
-            let mut shared_ds_local = Vec::new();
             for i in 0..t.shared_ds {
-                let id = plane.add_datastore(DatastoreSpec::new(
+                datastores.push(plane.add_datastore(DatastoreSpec::new(
                     format!("shared-ds-{i:02}"),
                     t.shared_ds_capacity_gb,
                     t.ds_bandwidth_mbps,
-                ));
-                datastores.push(id);
-                shared_ds_local.push(id);
+                )));
             }
+            let shared_ds_local = datastores[t.home_ds_per_shard as usize..].to_vec();
             let mut hosts = Vec::new();
             for i in 0..t.home_hosts_per_shard {
                 hosts.push(plane.add_host(HostSpec::new(
@@ -216,40 +215,28 @@ impl FedScenario {
                     t.host_mem_mb,
                 )));
             }
-            let mut shared_hosts_local = Vec::new();
             for i in 0..t.shared_hosts {
-                let id = plane.add_host(HostSpec::new(
+                hosts.push(plane.add_host(HostSpec::new(
                     format!("shared-host-{i:03}"),
                     t.host_cpu_mhz,
                     t.host_mem_mb,
-                ));
-                hosts.push(id);
-                shared_hosts_local.push(id);
+                )));
             }
+            let shared_hosts_local = hosts[t.home_hosts_per_shard as usize..].to_vec();
             for &h in &hosts {
                 for &d in &datastores {
                     plane.connect(h, d).expect("fresh ids");
                 }
             }
 
-            let mut templates = Vec::new();
-            for (i, (name, vcpus, mem_mb, disk_gb)) in t.templates.iter().enumerate() {
-                let host = hosts[i % hosts.len()];
-                let home_ds = datastores[i % datastores.len()];
-                let spec = VmSpec::new(*vcpus, *mem_mb, *disk_gb);
-                let template = plane
-                    .install_template(name, spec, host, home_ds)
-                    .unwrap_or_else(|e| panic!("installing template {name}: {e}"));
-                for &ds in &datastores {
-                    if ds != home_ds {
-                        plane
-                            .seed_template_now(template, ds)
-                            .unwrap_or_else(|e| panic!("seeding template {name}: {e}"));
-                    }
-                }
-                director.register_template(template);
-                templates.push(template);
-            }
+            let templates = install_templates(
+                &mut plane,
+                &mut director,
+                &hosts,
+                &datastores,
+                &t.templates,
+                true,
+            );
             let org = director.create_org("default-org");
 
             // Pre-installed population on home inventory only (skew).
@@ -299,16 +286,18 @@ impl FedScenario {
                 plane.enable_faults(self.recovery, 0.0, streams.substreams(3).rng(s as u64));
             }
 
-            setups.push(ShardSetup {
-                plane,
-                director,
-                org,
-                hosts,
-                datastores,
-                templates,
-                initial_vms,
+            let ledger = ShardLedger {
+                shard: s,
+                cell: Arc::clone(&cell),
                 shared_hosts: shared_hosts_local,
                 shared_ds: shared_ds_local,
+                reservations: FastMap::default(),
+                mig_outbox: Vec::new(),
+            };
+            shards.push(ShardCore {
+                stack: MgmtStack::new(plane, director, org, hosts, datastores, templates, ledger),
+                staleness: self.staleness,
+                initial_vms,
             });
         }
 
@@ -316,11 +305,11 @@ impl FedScenario {
         // into its view before the clock starts (free of charge — this
         // is setup, not simulated work).
         if t.shards > 1 {
-            for setup in &mut setups {
-                setup.plane.sync_placement_gate_quiet();
+            for shard in &mut shards {
+                shard.stack.plane.sync_placement_gate_quiet();
             }
         }
 
-        FedSim::assemble(setups, cell, self.staleness, self.handoff_delay)
+        FedSim::assemble(shards, cell, self.handoff_delay)
     }
 }

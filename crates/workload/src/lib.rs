@@ -17,7 +17,10 @@
 //! - [`TraceRecord`] / [`TraceLog`]: JSONL-serializable per-operation
 //!   records emitted by the simulator;
 //! - [`TraceAnalysis`]: the characterization pass — operation mix, hourly
-//!   arrival series, burstiness, latency splits, VM lifetimes.
+//!   arrival series, burstiness, latency splits, VM lifetimes;
+//! - [`MgmtStack`]: the management stack the single-plane and federated
+//!   drivers both embed — plane, director and the routing between them,
+//!   feeding the trace above.
 
 pub mod analyze;
 pub mod arrival;
@@ -25,6 +28,7 @@ pub mod generate;
 pub mod profiles;
 pub mod replay;
 pub mod spec;
+pub mod stack;
 pub mod trace;
 
 pub use analyze::TraceAnalysis;
@@ -33,4 +37,5 @@ pub use generate::{GeneratedRequest, RequestGenerator};
 pub use profiles::{cloud_a, cloud_b, enterprise, Profile, Topology};
 pub use replay::{ReplayEvent, ReplayPlan};
 pub use spec::{RequestTemplate, WorkloadSpec};
+pub use stack::{install_templates, Forward, MgmtStack, ReportHook, StackEvent};
 pub use trace::{Outcome, TraceLog, TraceRecord};

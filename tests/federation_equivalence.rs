@@ -6,14 +6,16 @@
 //! combined topology and the same request sequence, the two simulations
 //! must therefore be *op-for-op* identical: every task report — kinds,
 //! timestamps, queueing, per-resource seconds, produced VM ids — agrees,
-//! as do the cloud-level reports.
+//! as do the cloud-level reports. Both drivers route through the same
+//! management stack, so each also traces and keeps every finished task
+//! exactly once.
 
 use cpsim::{CloudSim, Scenario};
 use cpsim_cloud::{CloudRequest, ProvisioningPolicy};
 use cpsim_des::{SimDuration, SimTime};
 use cpsim_federation::{FedScenario, FedSim, FedTopology};
-use cpsim_mgmt::CloneMode;
-use cpsim_workload::Topology;
+use cpsim_mgmt::{CloneMode, ControlPlane, OpKind, TaskReport};
+use cpsim_workload::{Topology, TraceLog};
 
 /// One randomized equivalence case: the combined inventory both models
 /// manage, plus the request schedule driven into each.
@@ -82,12 +84,43 @@ fn policy() -> ProvisioningPolicy {
     }
 }
 
+/// Every task the plane finished reached the trace and the kept reports
+/// exactly once.
+fn assert_routing_conserved(plane: &ControlPlane, trace: &TraceLog, kept: &[TaskReport]) {
+    let finished = plane.stats().completed() + plane.stats().failed();
+    assert_eq!(finished, trace.len() as u64, "finished tasks vs trace");
+    assert_eq!(
+        finished,
+        kept.len() as u64,
+        "finished tasks vs kept reports"
+    );
+}
+
 fn assert_equivalent(case: &Case) {
     let mut fed = build_fed(case);
     let mut single = build_single(case);
+    fed.keep_task_reports(true);
+    single.keep_task_reports(true);
     let fed_org = fed.org(0);
     let single_org = single.org();
     assert_eq!(fed.templates(0), single.templates());
+
+    // One raw operation alongside the cloud requests, so the `Op` path
+    // is compared too (a snapshot is legal on a template).
+    let snapshot_at = SimTime::from_secs(10);
+    fed.schedule_op(
+        snapshot_at,
+        0,
+        OpKind::Snapshot {
+            vm: fed.templates(0)[0],
+        },
+    );
+    single.schedule_op(
+        snapshot_at,
+        OpKind::Snapshot {
+            vm: single.templates()[0],
+        },
+    );
 
     for &(at_secs, count, linked) in &case.requests {
         let mode = if linked {
@@ -136,6 +169,11 @@ fn assert_equivalent(case: &Case) {
     }
     // Request-level reports agree too (same kinds, latencies, vApps).
     assert_eq!(fed.cloud_reports(0), single.cloud_reports());
+    // So do the full kept task reports, and each model kept every
+    // finished task exactly once.
+    assert_eq!(fed.task_reports(0), single.task_reports());
+    assert_routing_conserved(fed.plane(0), fed.trace(0), fed.task_reports(0));
+    assert_routing_conserved(single.plane(), single.trace(), single.task_reports());
     // And the planes did identical amounts of work.
     let (fs, ss) = (fed.plane(0).stats(), single.plane().stats());
     assert_eq!(fs.submitted(), ss.submitted());
