@@ -13,6 +13,7 @@ use cpsim_metrics::Table;
 use cpsim_mgmt::CloneMode;
 use cpsim_workload::Topology;
 
+use crate::experiments::loops::sweep;
 use crate::experiments::{fmt, ExpOptions};
 use crate::Scenario;
 
@@ -45,7 +46,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             "probe clone latency s",
         ],
     );
-    for &h in &host_counts {
+    let rows = sweep(opts, &host_counts, |&h| {
         let mut sim = Scenario::bare(topology(h)).seed(opts.seed).build();
         // One probe instantiate halfway through, to expose placement-cost
         // growth with inventory size.
@@ -68,12 +69,15 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             .iter()
             .find(|r| r.kind == "instantiate-vapp")
             .expect("probe completes");
-        table.row([
+        [
             h.to_string(),
             fmt(sim.plane().cpu_utilization(now) * 100.0),
             fmt(sim.plane().db_utilization(now) * 100.0),
             fmt(probe.latency.as_secs_f64()),
-        ]);
+        ]
+    });
+    for row in rows {
+        table.row(row);
     }
     vec![table]
 }

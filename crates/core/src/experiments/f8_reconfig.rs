@@ -14,6 +14,7 @@ use cpsim_metrics::Table;
 use cpsim_mgmt::CloneMode;
 use cpsim_workload::Topology;
 
+use crate::experiments::loops::sweep;
 use crate::experiments::{fmt, ExpOptions};
 use crate::{CloudSim, Scenario};
 
@@ -33,8 +34,8 @@ fn reconfig_topology(datastores: u32) -> Topology {
     }
 }
 
-fn build(seed: u64, datastores: u32) -> CloudSim {
-    Scenario::bare(reconfig_topology(datastores))
+fn build(seed: u64, topology: Topology) -> CloudSim {
+    Scenario::bare(topology)
         .seed(seed)
         .policy(ProvisioningPolicy {
             mode: CloneMode::Linked,
@@ -58,15 +59,35 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             "clone latency during s",
         ],
     );
-    for &d in &ds_counts {
-        let idle = redistribute_idle(opts.seed, d);
-        let (loaded, before, during) = redistribute_loaded(opts.seed, d);
+    // One sweep point per (datastore count, idle/loaded) cell, so the
+    // idle and loaded runs of a row overlap on the executor.
+    let points: Vec<(u32, bool)> = ds_counts
+        .iter()
+        .flat_map(|&d| [(d, false), (d, true)])
+        .collect();
+    enum Outcome {
+        Idle(f64),
+        Loaded(f64, f64, f64),
+    }
+    let results = sweep(opts, &points, |&(d, loaded)| {
+        if loaded {
+            let (redistribute, before, during) = redistribute_loaded(opts.seed, d);
+            Outcome::Loaded(redistribute, before, during)
+        } else {
+            Outcome::Idle(redistribute_idle(opts.seed, d))
+        }
+    });
+    for (&d, pair) in ds_counts.iter().zip(results.chunks_exact(2)) {
+        let (Outcome::Idle(idle), Outcome::Loaded(loaded, before, during)) = (&pair[0], &pair[1])
+        else {
+            unreachable!("sweep preserves point order");
+        };
         table.row([
             d.to_string(),
-            fmt(idle),
-            fmt(loaded),
-            fmt(before),
-            fmt(during),
+            fmt(*idle),
+            fmt(*loaded),
+            fmt(*before),
+            fmt(*during),
         ]);
     }
     vec![table, rebalance_table(opts)]
@@ -87,62 +108,60 @@ fn rebalance_table(opts: &ExpOptions) -> Table {
             "hot datastore util after",
         ],
     );
-    for &n in &overfill_vms {
-        let mut topo = reconfig_topology(4);
-        topo.ds_capacity_gb = 4_096.0;
-        let mut sim = Scenario::bare(topo)
-            .seed(opts.seed)
-            .policy(ProvisioningPolicy {
-                mode: CloneMode::Linked,
-                fencing: true,
-                power_on: false,
-                ..Default::default()
-            })
-            .build();
-        // Crowd `n` full-clone VMs onto the template's home datastore by
-        // installing them directly (setup), then ask for a rebalance.
-        let template_ds = {
-            let t = sim.templates()[0];
-            sim.plane().inventory().vm(t).unwrap().datastore
-        };
-        let host = sim.hosts()[0];
-        for i in 0..n {
-            // 64 GiB each: enough to push utilization well past target.
-            sim_install(&mut sim, &format!("crowd-{i}"), host, template_ds);
-        }
-        let before = sim
-            .plane()
-            .inventory()
-            .datastore(template_ds)
-            .unwrap()
-            .utilization();
-        sim.schedule_request(
-            SimTime::from_secs(1),
-            CloudRequest::RebalanceDatastores {
-                target_utilization: 0.10,
-            },
-        );
-        sim.run_until(SimTime::from_hours(12));
-        let report = sim
-            .cloud_reports()
-            .iter()
-            .find(|r| r.kind == "rebalance-datastores")
-            .expect("rebalance completes");
-        let after = sim
-            .plane()
-            .inventory()
-            .datastore(template_ds)
-            .unwrap()
-            .utilization();
-        table.row([
-            n.to_string(),
-            report.ops_issued.to_string(),
-            fmt(report.latency.as_secs_f64()),
-            fmt(before),
-            fmt(after),
-        ]);
+    for row in sweep(opts, &overfill_vms, |&n| rebalance_row(opts.seed, n)) {
+        table.row(row);
     }
     table
+}
+
+/// One F8b row: crowds `n` VMs onto the template's home datastore, then
+/// drains it with a rebalance pass.
+fn rebalance_row(seed: u64, n: u32) -> [String; 5] {
+    let mut topo = reconfig_topology(4);
+    topo.ds_capacity_gb = 4_096.0;
+    let mut sim = build(seed, topo);
+    // Crowd `n` full-clone VMs onto the template's home datastore by
+    // installing them directly (setup), then ask for a rebalance.
+    let template_ds = {
+        let t = sim.templates()[0];
+        sim.plane().inventory().vm(t).unwrap().datastore
+    };
+    let host = sim.hosts()[0];
+    for i in 0..n {
+        // 64 GiB each: enough to push utilization well past target.
+        sim_install(&mut sim, &format!("crowd-{i}"), host, template_ds);
+    }
+    let before = sim
+        .plane()
+        .inventory()
+        .datastore(template_ds)
+        .unwrap()
+        .utilization();
+    sim.schedule_request(
+        SimTime::from_secs(1),
+        CloudRequest::RebalanceDatastores {
+            target_utilization: 0.10,
+        },
+    );
+    sim.run_until(SimTime::from_hours(12));
+    let report = sim
+        .cloud_reports()
+        .iter()
+        .find(|r| r.kind == "rebalance-datastores")
+        .expect("rebalance completes");
+    let after = sim
+        .plane()
+        .inventory()
+        .datastore(template_ds)
+        .unwrap()
+        .utilization();
+    [
+        n.to_string(),
+        report.ops_issued.to_string(),
+        fmt(report.latency.as_secs_f64()),
+        fmt(before),
+        fmt(after),
+    ]
 }
 
 /// Setup helper: install a powered-off 64 GiB VM on an exact location.
@@ -159,7 +178,7 @@ fn sim_install(
 
 /// Redistribution time on an otherwise idle cloud, seconds.
 fn redistribute_idle(seed: u64, datastores: u32) -> f64 {
-    let mut sim = build(seed, datastores);
+    let mut sim = build(seed, reconfig_topology(datastores));
     let template = sim.templates()[0];
     sim.schedule_request(
         SimTime::from_secs(1),
@@ -178,7 +197,7 @@ fn redistribute_idle(seed: u64, datastores: u32) -> f64 {
 /// Redistribution under a steady provisioning load. Returns
 /// `(redistribute_s, clone_latency_before_s, clone_latency_during_s)`.
 fn redistribute_loaded(seed: u64, datastores: u32) -> (f64, f64, f64) {
-    let mut sim = build(seed, datastores);
+    let mut sim = build(seed, reconfig_topology(datastores));
     sim.keep_task_reports(true);
     let template = sim.templates()[0];
     let org = sim.org();

@@ -181,7 +181,7 @@ pub fn closed_loop(
 }
 
 /// Result of a federated closed-loop load run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FedLoadResult {
     /// VMs provisioned per hour across all shards in the window.
     pub vms_per_hour: f64,

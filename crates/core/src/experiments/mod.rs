@@ -234,8 +234,8 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "f8",
             title: "Figure 8: cloud reconfiguration cost and interference",
-            sweep_quick: 4,
-            sweep_full: 7,
+            sweep_quick: 6,
+            sweep_full: 11,
             federated: false,
             intra_jobs: false,
             run: f8_reconfig::run,
@@ -297,8 +297,8 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "f13",
             title: "Figure 13: federated conflicts/goodput vs shards and staleness",
-            sweep_quick: 6,
-            sweep_full: 9,
+            sweep_quick: 5,
+            sweep_full: 7,
             federated: true,
             intra_jobs: true,
             run: f13_conflicts::run,
