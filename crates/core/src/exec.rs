@@ -15,14 +15,15 @@
 //! in their point lists, so the heaviest point is the last one. Claimed
 //! in ascending order, that point would start last and finish alone while
 //! every other worker idles; claimed first, it overlaps with the cheap
-//! points instead. Measured per-point costs at full scale, `--jobs 1`:
+//! points instead. Measured per-point costs at full scale, `--jobs 1`
+//! (median of five runs on a 2-core x86-64 host):
 //!
 //! | sweep | points in order | seconds per point |
 //! |-------|-----------------|-------------------|
-//! | f10 | fed1, mult1, fed2, mult2, fed4, mult4, fed8, mult8 | 0.21, 0.35, 0.32, 0.33, 0.66, 0.36, 1.12, 0.28 |
-//! | f11 | 64, 256, 1024, 2048 hosts | 0.004, 0.013, 0.05, 0.115 |
-//! | f8 | 4–32 datastores × idle/loaded, 8–32 crowded VMs | ~0.01 each |
-//! | t1, f1, f2, f6 | cloud-a, cloud-b, enterprise (72 h) | 0.38, 0.41, 0.46 |
+//! | f10 | fed1, mult1, fed2, mult2, fed4, mult4, fed8, mult8 | 0.20, 0.34, 0.32, 0.35, 0.61, 0.35, 1.21, 0.31 |
+//! | f11 | 64, 256, 1024, 2048 hosts | 0.002, 0.005, 0.021, 0.045 |
+//! | f8 | 4–32 datastores × idle/loaded, 8–32 crowded VMs | ~0.005 each |
+//! | t1, f1, f2, f6 | cloud-a, cloud-b, enterprise (72 h) | 0.25, 0.16, 0.19 |
 //!
 //! There is no per-point cost hint: when a new sweep breaks the
 //! convention, reorder its points rather than teach the executor about

@@ -10,9 +10,10 @@
 //!   one master seed;
 //! - [`Dist`]: a serializable distribution vocabulary used by workload and
 //!   cost models;
-//! - [`resource`]: queueing building blocks — a multi-server FIFO queue, a
-//!   counting slot pool for admission limits, and a processor-sharing
-//!   shared-bandwidth engine for bulk data transfers.
+//! - [`resource`]: queueing building blocks — a multi-server FIFO queue, an
+//!   FCFS station that times work by per-server clocks instead of
+//!   completion events, a counting slot pool for admission limits, and a
+//!   processor-sharing shared-bandwidth engine for bulk data transfers.
 //!
 //! # Example
 //!
@@ -64,6 +65,7 @@ pub use reference::ReferenceQueue;
 pub use resource::bandwidth::{SharedBandwidth, TransferDone, TransferPlan};
 pub use resource::fifo::FifoQueue;
 pub use resource::slots::SlotPool;
+pub use resource::station::{Arrival, FcfsStation};
 pub use resource::timeweighted::TimeWeighted;
 pub use rng::{derive_seed, SimRng, Streams};
 pub use time::{SimDuration, SimTime};

@@ -1,6 +1,8 @@
 //! Property-based tests of the simulation kernel.
 
-use cpsim_des::{EventQueue, FifoQueue, SharedBandwidth, SimTime};
+use cpsim_des::{
+    Arrival, EventQueue, FcfsStation, FifoQueue, SharedBandwidth, SimDuration, SimTime,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -155,5 +157,111 @@ proptest! {
                 completed + u64::from(q.in_service()) + q.queue_len() as u64
             );
         }
+    }
+
+    /// The clock-based FCFS station replays an event-driven `FifoQueue`:
+    /// every evented job starts at the same time and waits as long, and
+    /// utilization agrees to rounding, while lazy jobs cost no event.
+    /// Arrivals may share a microsecond, with each other and with
+    /// completions, and services may be zero. A chained arrival is
+    /// scheduled by the arrival before it, so it can fall on either side
+    /// of a same-instant completion in event order.
+    #[test]
+    fn fcfs_station_matches_event_driven_fifo(
+        jobs in proptest::collection::vec((0u64..3, 0u64..8, any::<bool>(), any::<bool>()), 1..200),
+        servers in 1u32..6,
+    ) {
+        #[derive(Clone, Copy)]
+        enum Ev {
+            Arrive(usize),
+            Done,
+        }
+        let mut t = 0;
+        let arrivals: Vec<SimTime> = jobs
+            .iter()
+            .map(|&(gap, ..)| {
+                t += gap;
+                SimTime::from_micros(t)
+            })
+            .collect();
+        let service = |i: usize| SimDuration::from_micros(jobs[i].1);
+        let lazy = |i: usize| jobs[i].2;
+        let chained = |i: usize| i > 0 && jobs[i].3;
+        let seeded = || {
+            let mut q = EventQueue::new();
+            for (i, &at) in arrivals.iter().enumerate().filter(|&(i, _)| !chained(i)) {
+                q.schedule(at, Ev::Arrive(i));
+            }
+            q
+        };
+        let chain = |q: &mut EventQueue<Ev>, i: usize| {
+            if i + 1 < jobs.len() && chained(i + 1) {
+                q.schedule(arrivals[i + 1], Ev::Arrive(i + 1));
+            }
+        };
+
+        // Oracle: every job gets a completion event.
+        let mut fifo: FifoQueue<usize> = FifoQueue::new(servers);
+        let mut fifo_start = vec![None; jobs.len()];
+        let mut fifo_waited = vec![SimDuration::ZERO; jobs.len()];
+        let mut fifo_events = 0;
+        let mut q = seeded();
+        let mut end = SimTime::ZERO;
+        while let Some((now, ev)) = q.pop() {
+            end = now;
+            let started = match ev {
+                Ev::Arrive(i) => {
+                    chain(&mut q, i);
+                    fifo.arrive(now, i)
+                }
+                Ev::Done => {
+                    fifo_events += 1;
+                    fifo.complete(now)
+                }
+            };
+            if let Some(adm) = started {
+                fifo_start[adm.job] = Some(now);
+                fifo_waited[adm.job] = adm.waited;
+                q.schedule(now + service(adm.job), Ev::Done);
+            }
+        }
+
+        let mut st: FcfsStation<usize> = FcfsStation::new(servers);
+        let mut st_start = vec![None; jobs.len()];
+        let mut st_events = 0;
+        let mut q = seeded();
+        while let Some((now, ev)) = q.pop() {
+            if let Ev::Arrive(i) = ev {
+                chain(&mut q, i);
+            }
+            match ev {
+                Ev::Arrive(i) if lazy(i) => st.arrive_lazy(now, service(i)),
+                Ev::Arrive(i) => match st.arrive(now, service(i), i) {
+                    Arrival::Started(i) => {
+                        st_start[i] = Some(now);
+                        q.schedule(now + service(i), Ev::Done);
+                    }
+                    Arrival::Queued => {}
+                    Arrival::Handoff(at) => q.schedule(at, Ev::Done),
+                },
+                Ev::Done => {
+                    st_events += 1;
+                    if let Some(adm) = st.complete(now) {
+                        prop_assert_eq!(adm.waited, fifo_waited[adm.job]);
+                        st_start[adm.job] = Some(now);
+                        q.schedule(now + service(adm.job), Ev::Done);
+                    }
+                }
+            }
+        }
+
+        for i in (0..jobs.len()).filter(|&i| !lazy(i)) {
+            prop_assert!(st_start[i].is_some(), "evented job {} never started", i);
+            prop_assert_eq!(st_start[i], fifo_start[i], "job {}", i);
+        }
+        prop_assert!(st_events <= fifo_events);
+        let horizon = end + SimDuration::from_micros(1);
+        let (a, b) = (fifo.utilization(horizon), st.utilization(horizon));
+        prop_assert!((a - b).abs() <= 1e-12 * a.abs().max(b.abs()), "utilization {} vs {}", a, b);
     }
 }

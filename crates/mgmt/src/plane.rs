@@ -7,7 +7,7 @@
 
 use cpsim_des::FastMap;
 
-use cpsim_des::{FifoQueue, SimDuration, SimRng, SimTime, Streams};
+use cpsim_des::{Arrival, FcfsStation, SimDuration, SimRng, SimTime, Streams};
 use cpsim_faults::{FaultKind, RecoveryPolicy};
 use cpsim_hostagent::{AgentFleet, Primitive, ServiceMod};
 use cpsim_inventory::{
@@ -30,7 +30,9 @@ use crate::task::{PhaseClass, Task, TaskReport};
 pub enum Owner {
     /// A management task.
     Task(TaskId),
-    /// Background work (heartbeats).
+    /// Background management load: host heartbeats, placement syncs and
+    /// host resyncs. It is charged to no task and gets no completion
+    /// event of its own (see [`MgmtEvent::CpuDone`]).
     Background,
 }
 
@@ -45,14 +47,24 @@ pub struct ServiceJob {
     pub service: SimDuration,
 }
 
+/// The payload of a hand-off [`MgmtEvent::CpuDone`]/[`MgmtEvent::DbDone`].
+const HANDOFF: ServiceJob = ServiceJob {
+    owner: Owner::Background,
+    label: "handoff",
+    service: SimDuration::ZERO,
+};
+
 /// Events the control plane reacts to.
 #[derive(Clone, Debug)]
 pub enum MgmtEvent {
     /// An operation arrives.
     Submit(Operation),
-    /// A management-CPU job finished service.
+    /// A task's management-CPU job finished service. With an
+    /// [`Owner::Background`] job it is instead a hand-off: background work
+    /// that a task job waits behind ends now, and the task job starts.
     CpuDone(ServiceJob),
-    /// A database job finished service.
+    /// A task's database job finished service, or a background hand-off
+    /// (as for [`CpuDone`](Self::CpuDone)).
     DbDone(ServiceJob),
     /// A host-agent primitive finished.
     AgentDone {
@@ -132,8 +144,8 @@ pub struct ControlPlane {
     inv: Inventory,
     storage: StoragePool,
     residency: TemplateResidency,
-    cpu: FifoQueue<ServiceJob>,
-    db: FifoQueue<ServiceJob>,
+    cpu: FcfsStation<ServiceJob>,
+    db: FcfsStation<ServiceJob>,
     agents: AgentFleet<TaskId>,
     transfers: TransferEngine,
     /// Keyed lookups only (insert on start, remove on completion) — the
@@ -169,8 +181,8 @@ impl ControlPlane {
         cfg.validate().expect("invalid ControlPlaneConfig");
         let agents = AgentFleet::new(cfg.host_cost.clone(), streams.rng(Streams::SERVICE + 100));
         ControlPlane {
-            cpu: FifoQueue::new(cfg.effective_cores()),
-            db: FifoQueue::new(cfg.effective_db_connections()),
+            cpu: FcfsStation::new(cfg.effective_cores()),
+            db: FcfsStation::new(cfg.effective_db_connections()),
             admission: AdmissionControl::new(cfg.limits),
             agents,
             transfers: TransferEngine::new(),
@@ -699,11 +711,8 @@ impl ControlPlane {
             label,
             service,
         };
-        if let Some(started) = self.cpu.arrive(now, job) {
-            out.push(Emit::At(
-                now + started.job.service,
-                MgmtEvent::CpuDone(started.job),
-            ));
+        if let Some((at, job)) = Self::offer(&mut self.cpu, now, job) {
+            out.push(Emit::At(at, MgmtEvent::CpuDone(job)));
         }
     }
 
@@ -727,11 +736,28 @@ impl ControlPlane {
             label,
             service,
         };
-        if let Some(started) = self.db.arrive(now, job) {
-            out.push(Emit::At(
-                now + started.job.service,
-                MgmtEvent::DbDone(started.job),
-            ));
+        if let Some((at, job)) = Self::offer(&mut self.db, now, job) {
+            out.push(Emit::At(at, MgmtEvent::DbDone(job)));
+        }
+    }
+
+    /// Offers `job` to a CPU or DB station and returns the completion
+    /// event to schedule, if any. Background work needs none. A task job
+    /// gets its own when it starts now, and a hand-off when it waits
+    /// behind background work.
+    fn offer(
+        station: &mut FcfsStation<ServiceJob>,
+        now: SimTime,
+        job: ServiceJob,
+    ) -> Option<(SimTime, ServiceJob)> {
+        if job.owner == Owner::Background {
+            station.arrive_lazy(now, job.service);
+            return None;
+        }
+        match station.arrive(now, job.service, job) {
+            Arrival::Started(job) => Some((now + job.service, job)),
+            Arrival::Queued => None,
+            Arrival::Handoff(at) => Some((at, HANDOFF)),
         }
     }
 

@@ -1,8 +1,9 @@
 //! Behavioral tests of the control plane: whole operations driven through
 //! a miniature event loop to completion.
 
-use cpsim_des::{EventQueue, SimTime, Streams};
+use cpsim_des::{EventQueue, SimDuration, SimTime, Streams};
 use cpsim_inventory::{DatastoreId, DatastoreSpec, HostId, HostSpec, PowerState, VmId, VmSpec};
+use cpsim_mgmt::plane::Owner;
 use cpsim_mgmt::{
     AdmissionLimits, CloneMode, ControlPlane, ControlPlaneConfig, Emit, MgmtEvent, OpKind,
     TaskReport,
@@ -11,6 +12,16 @@ use cpsim_mgmt::{
 /// Drives the plane until the event queue drains or `horizon` passes.
 /// Returns completed reports in completion order.
 fn drive(plane: &mut ControlPlane, seed_emits: Vec<Emit>, horizon: SimTime) -> Vec<TaskReport> {
+    drive_observed(plane, seed_emits, horizon, |_, _| {})
+}
+
+/// [`drive`], showing `seen` every event before the plane handles it.
+fn drive_observed(
+    plane: &mut ControlPlane,
+    seed_emits: Vec<Emit>,
+    horizon: SimTime,
+    mut seen: impl FnMut(SimTime, &MgmtEvent),
+) -> Vec<TaskReport> {
     let mut queue: EventQueue<MgmtEvent> = EventQueue::new();
     let mut reports = Vec::new();
     let sink =
@@ -30,6 +41,7 @@ fn drive(plane: &mut ControlPlane, seed_emits: Vec<Emit>, horizon: SimTime) -> V
         }
         guard += 1;
         assert!(guard < 5_000_000, "event storm: runaway simulation");
+        seen(t, &ev);
         let emits = plane.handle_collect(t, ev);
         sink(emits, &mut queue, &mut reports);
     }
@@ -542,6 +554,79 @@ fn heartbeats_consume_control_plane_capacity() {
     // 8 hosts * 50 ms per second = 0.4 core-seconds/s over 4 cores = 10 %.
     let util = plane.cpu_utilization(horizon);
     assert!(util > 0.05, "heartbeat load invisible: {util:.3}");
+}
+
+#[test]
+fn heartbeat_work_needs_no_completion_events() {
+    let mut plane = ControlPlane::new(ControlPlaneConfig::default(), Streams::new(42));
+    let ds = plane.add_datastore(DatastoreSpec::new("ds", 100.0, 100.0));
+    for i in 0..8 {
+        let h = plane.add_host(HostSpec::new(format!("h{i}"), 10_000, 65_536));
+        plane.connect(h, ds).unwrap();
+    }
+    let emits = plane.init_events();
+    let horizon = SimTime::from_secs(600);
+    let (mut beats, mut completions) = (0, 0);
+    drive_observed(&mut plane, emits, horizon, |_, ev| match ev {
+        MgmtEvent::Heartbeat { .. } => beats += 1,
+        MgmtEvent::CpuDone(_) | MgmtEvent::DbDone(_) => completions += 1,
+        _ => {}
+    });
+    assert!(beats >= 8 * 30, "only {beats} beats");
+    assert_eq!(
+        completions, 0,
+        "background work scheduled completion events"
+    );
+    // The work is still charged: 8 hosts x 3 ms CPU per 20 s over 4 cores.
+    let cpu = plane.cpu_utilization(horizon);
+    assert!((cpu - 8.0 * 0.003 / 20.0 / 4.0).abs() < 1e-5, "cpu {cpu}");
+    assert!(plane.db_utilization(horizon) > 0.0);
+}
+
+#[test]
+fn task_behind_heartbeat_backlog_gets_one_handoff() {
+    let cfg = ControlPlaneConfig {
+        cpu_cores: 1,
+        heartbeat: cpsim_hostagent::HeartbeatSpec {
+            interval: SimDuration::from_hours(1),
+            mgmt_cpu: SimDuration::from_millis(400),
+            db_time: SimDuration::ZERO,
+        },
+        ..Default::default()
+    };
+    let mut r = rig_with(cfg);
+    // Both hosts beat at once: 0.8 s of CPU backlog on the one core.
+    let mut emits = Vec::new();
+    for slot in 0..r.hosts.len() {
+        emits.extend(
+            r.plane
+                .handle_collect(SimTime::ZERO, MgmtEvent::Heartbeat { slot }),
+        );
+    }
+    let submit_at = SimTime::from_millis(200);
+    emits.push(Emit::At(
+        submit_at,
+        MgmtEvent::Submit(
+            OpKind::CloneVm {
+                source: r.template,
+                mode: CloneMode::Linked,
+            }
+            .into(),
+        ),
+    ));
+    let mut handoffs = Vec::new();
+    let reports = drive_observed(&mut r.plane, emits, FAR, |t, ev| match ev {
+        MgmtEvent::CpuDone(job) | MgmtEvent::DbDone(job) if job.owner == Owner::Background => {
+            handoffs.push(t)
+        }
+        _ => {}
+    });
+    assert_eq!(handoffs, vec![SimTime::from_millis(800)]);
+    assert_eq!(reports.len(), 1);
+    assert!(reports[0].is_success(), "{:?}", reports[0].error);
+    // The task waited exactly for the backlog left at submission.
+    let remaining = SimTime::from_millis(800).since(submit_at);
+    assert_eq!(reports[0].queue_secs, remaining.as_secs_f64());
 }
 
 #[test]
