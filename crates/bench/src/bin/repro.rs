@@ -24,12 +24,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if cli.list {
-        // Annotate each experiment with its last recorded throughput when
-        // a committed bench record is available.
-        let baseline =
-            cpsim_bench::load_baseline(std::path::Path::new(cpsim_bench::BENCH_DEFAULT_PATH))
-                .unwrap_or_default();
-        println!("{}", cpsim_bench::listing_with_baseline(&baseline));
+        println!("{}", cpsim_bench::listing());
         return ExitCode::SUCCESS;
     }
     let mut stdout = std::io::stdout().lock();

@@ -8,9 +8,6 @@ use std::path::PathBuf;
 use cpsim::experiments::{all, ExpOptions, Experiment};
 use cpsim_metrics::Table;
 
-/// Default location of the benchmark summary written by `repro`.
-pub const BENCH_DEFAULT_PATH: &str = "results/BENCH_suite.json";
-
 /// Parsed command line of the `repro` binary.
 #[derive(Debug, Default)]
 pub struct Cli {
@@ -27,24 +24,10 @@ pub struct Cli {
     pub intra_jobs: Option<usize>,
     /// Directory to write CSV copies into.
     pub csv_dir: Option<PathBuf>,
-    /// Where to write the timing summary; `None` disables it.
-    ///
-    /// `parse` defaults this to [`BENCH_DEFAULT_PATH`] for full-scale runs
-    /// so the binary records a perf trajectory; `--quick` runs default to
-    /// off (pass `--bench` to opt in) so a smoke run cannot silently
-    /// overwrite the committed full-scale record. `Cli::default()` leaves
-    /// it off so library callers (tests) don't touch the filesystem.
-    pub bench_path: Option<PathBuf>,
     /// Print help and exit.
     pub help: bool,
     /// `list` subcommand: print the experiment catalog and exit.
     pub list: bool,
-    /// Diff this run's throughput against a recorded baseline and fail
-    /// on a >2× events/sec regression.
-    pub compare: bool,
-    /// Baseline record for `--compare` (default: the committed
-    /// [`BENCH_DEFAULT_PATH`]).
-    pub baseline: Option<PathBuf>,
 }
 
 impl Cli {
@@ -55,9 +38,6 @@ impl Cli {
     /// Returns a message for unknown flags or malformed values.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
         let mut cli = Cli::default();
-        // `Some(..)` once --bench/--no-bench appears; the default depends
-        // on --quick, which may come later, so it is resolved after the loop.
-        let mut bench_flag: Option<Option<PathBuf>> = None;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -85,25 +65,10 @@ impl Cli {
                     let v = it.next().ok_or("--csv needs a directory")?;
                     cli.csv_dir = Some(PathBuf::from(v));
                 }
-                "--bench" => {
-                    let v = it.next().ok_or("--bench needs a file path")?;
-                    bench_flag = Some(Some(PathBuf::from(v)));
-                }
-                "--no-bench" => bench_flag = Some(None),
-                "--compare" => cli.compare = true,
-                "--baseline" => {
-                    let v = it.next().ok_or("--baseline needs a file path")?;
-                    cli.baseline = Some(PathBuf::from(v));
-                }
                 s if s.starts_with('-') => return Err(format!("unknown flag: {s}")),
                 id => cli.ids.push(id.to_string()),
             }
         }
-        cli.bench_path = match bench_flag {
-            Some(explicit) => explicit,
-            None if cli.quick => None,
-            None => Some(PathBuf::from(BENCH_DEFAULT_PATH)),
-        };
         Ok(cli)
     }
 
@@ -156,20 +121,13 @@ pub fn usage() -> String {
     format!(
         "repro — regenerate the paper's tables and figures\n\n\
          USAGE: repro [IDS...] [--quick] [--seed N] [--jobs N] [--intra-jobs N]\n\
-         \x20              [--csv DIR] [--bench FILE | --no-bench] [--compare]\n\
-         \x20              [--baseline FILE]\n\
+         \x20              [--csv DIR]\n\
          \x20      repro list\n\n\
          --jobs N     worker threads per sweep (default: one per core;\n\
          \x20            1 = sequential; tables are identical either way)\n\
          --intra-jobs N  shard executors inside each federated simulation\n\
          \x20            (default 1 = the sequential oracle; 0 = one per\n\
-         \x20            core; tables are identical either way)\n\
-         --bench F    write the timing summary to F (default: {BENCH_DEFAULT_PATH}\n\
-         \x20            for full runs; off under --quick so smoke runs never\n\
-         \x20            overwrite the committed full-scale record)\n\
-         --compare    diff this run's events/sec against the recorded\n\
-         \x20            baseline and fail on a >2x same-scale regression\n\
-         --baseline F baseline record for --compare (default: {BENCH_DEFAULT_PATH})\n\n\
+         \x20            core; tables are identical either way)\n\n\
          Experiments (default: all):\n{}\n",
         listing()
     )
@@ -177,25 +135,9 @@ pub fn usage() -> String {
 
 /// One line per experiment: id, title and sweep width, in paper order.
 pub fn listing() -> String {
-    listing_with_baseline(&[])
-}
-
-/// [`listing`], with each experiment's last recorded throughput appended
-/// when the bench record has an entry for it.
-///
-/// An experiment absent from a non-empty record is annotated explicitly
-/// (`no recorded run`) instead of silently keeping the plain line: an
-/// older `BENCH_suite.json` predating a newly added experiment would
-/// otherwise be indistinguishable from having no record at all.
-pub fn listing_with_baseline(baseline: &[(String, BaselineRecord)]) -> String {
     all()
         .iter()
         .map(|e| {
-            let recorded = match baseline.iter().find(|(id, _)| id == e.id) {
-                Some((_, b)) => format!("  last {}: {:.0} events/s", b.scale, b.events_per_sec),
-                None if !baseline.is_empty() => "  (no recorded run)".to_string(),
-                None => String::new(),
-            };
             // `[intra-jobs]` marks the federated experiments whose runs
             // actually exercise the intra-run threaded executor; CI
             // enumerates them mechanically (grep) for the sanitizer and
@@ -206,203 +148,20 @@ pub fn listing_with_baseline(baseline: &[(String, BaselineRecord)]) -> String {
                 _ => "",
             };
             format!(
-                "  {:4} {}  [{} quick / {} full sweep points]{}{}",
-                e.id, e.title, e.sweep_quick, e.sweep_full, marker, recorded
+                "  {:4} {}  [{} quick / {} full sweep points]{}",
+                e.id, e.title, e.sweep_quick, e.sweep_full, marker
             )
         })
         .collect::<Vec<_>>()
         .join("\n")
 }
 
-/// Reads and parses the baseline record at `path`; `Ok(vec![])` when the
-/// file does not exist (callers degrade to a plain listing).
-///
-/// # Errors
-///
-/// Returns a message when the file exists but cannot be read or parsed.
-pub fn load_baseline(path: &std::path::Path) -> Result<Vec<(String, BaselineRecord)>, String> {
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    parse_bench_json(&text)
-}
-
-/// One experiment's timing record, as written to `BENCH_suite.json`.
-#[derive(Clone, Debug)]
-pub struct BenchRecord {
-    /// Experiment id (`"t1"`, `"f4"`, ...).
-    pub id: &'static str,
-    /// Wall-clock for the whole experiment, milliseconds.
-    pub wall_ms: f64,
-    /// Simulation events processed by all its sweep points.
-    pub events: u64,
-    /// `events / wall`, the suite's primary throughput figure.
-    pub events_per_sec: f64,
-    /// Worker threads the sweep ran with.
-    pub jobs: usize,
-    /// Shard executors inside each federated simulation.
-    pub intra_jobs: usize,
-    /// Sweep scale the numbers were measured at: `"quick"` or `"full"`.
-    /// Makes a quick-mode file self-describing, so it can never pass for
-    /// the committed full-scale record.
-    pub scale: &'static str,
-}
-
-/// A baseline entry parsed back out of a `BENCH_suite.json` document.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BaselineRecord {
-    /// Recorded events/sec.
-    pub events_per_sec: f64,
-    /// Recorded sweep scale (`"quick"` or `"full"`).
-    pub scale: String,
-    /// Recorded worker-thread count (`None` in records predating the field).
-    pub jobs: Option<u64>,
-    /// Recorded intra-simulation executor count (`None` in older records).
-    pub intra_jobs: Option<u64>,
-}
-
-/// Parses a `BENCH_suite.json` document into `(id, record)` pairs in file
-/// order. Entries missing either field are skipped (old records carry
-/// fewer fields).
-///
-/// # Errors
-///
-/// Returns a message when the document is not a JSON object.
-pub fn parse_bench_json(text: &str) -> Result<Vec<(String, BaselineRecord)>, String> {
-    let value: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("parsing bench record: {e:?}"))?;
-    let entries = value.as_obj().ok_or("bench record is not a JSON object")?;
-    let as_f64 = |v: &serde_json::Value| -> Option<f64> {
-        match v {
-            serde_json::Value::U64(x) => Some(*x as f64),
-            serde_json::Value::I64(x) => Some(*x as f64),
-            serde_json::Value::F64(x) => Some(*x),
-            _ => None,
-        }
-    };
-    Ok(entries
-        .iter()
-        .filter_map(|(id, rec)| {
-            let events_per_sec = rec.get("events_per_sec").and_then(as_f64)?;
-            let scale = rec.get("scale").and_then(|s| s.as_str())?.to_string();
-            let as_u64 = |v: &serde_json::Value| -> Option<u64> {
-                match v {
-                    serde_json::Value::U64(x) => Some(*x),
-                    _ => None,
-                }
-            };
-            let jobs = rec.get("jobs").and_then(as_u64);
-            let intra_jobs = rec.get("intra_jobs").and_then(as_u64);
-            Some((
-                id.clone(),
-                BaselineRecord {
-                    events_per_sec,
-                    scale,
-                    jobs,
-                    intra_jobs,
-                },
-            ))
-        })
-        .collect())
-}
-
-/// The `--compare` gate: a run regresses when it is more than 2× slower
-/// than its recorded baseline (`current < baseline / 2`). Loose enough to
-/// absorb machine noise, tight enough to catch a hot path growing a scan.
-pub const REGRESSION_RATIO: f64 = 0.5;
-
-/// Diffs `current` against a parsed baseline. Returns the human-readable
-/// table and the ids that regressed past [`REGRESSION_RATIO`].
-///
-/// Only comparable entries gate: a quick run diffed against a full-scale
-/// record, or a run whose worker counts (`--jobs`, `--intra-jobs`) differ
-/// from the baseline's, is reported informationally (the two measure
-/// different configurations), never failed. Baselines predating a worker
-/// field are assumed comparable.
-pub fn compare_records(
-    current: &[BenchRecord],
-    baseline: &[(String, BaselineRecord)],
-) -> (String, Vec<String>) {
-    let mut table = String::from(
-        "bench-compare (events/sec, higher is better)\n\
-         | exp | baseline | current | ratio | verdict |\n\
-         |-----|----------|---------|-------|---------|\n",
-    );
-    let mut regressions = Vec::new();
-    for r in current {
-        let row = match baseline.iter().find(|(id, _)| id == r.id) {
-            None => format!(
-                "| {} | — | {:.0} | — | new (no baseline) |",
-                r.id, r.events_per_sec
-            ),
-            Some((_, base)) => {
-                let ratio = if base.events_per_sec > 0.0 {
-                    r.events_per_sec / base.events_per_sec
-                } else {
-                    f64::INFINITY
-                };
-                let verdict = if base.scale != r.scale {
-                    format!("info only ({} baseline vs {} run)", base.scale, r.scale)
-                } else if base.jobs.is_some_and(|j| j != r.jobs as u64) {
-                    format!(
-                        "info only (jobs {} baseline vs {} run)",
-                        base.jobs.unwrap_or(0),
-                        r.jobs
-                    )
-                } else if base.intra_jobs.is_some_and(|j| j != r.intra_jobs as u64) {
-                    format!(
-                        "info only (intra-jobs {} baseline vs {} run)",
-                        base.intra_jobs.unwrap_or(0),
-                        r.intra_jobs
-                    )
-                } else if ratio < REGRESSION_RATIO {
-                    regressions.push(r.id.to_string());
-                    ">2x regression".to_string()
-                } else {
-                    "ok".to_string()
-                };
-                format!(
-                    "| {} | {:.0} | {:.0} | {:.2}x | {} |",
-                    r.id, base.events_per_sec, r.events_per_sec, ratio, verdict
-                )
-            }
-        };
-        table.push_str(&row);
-        table.push('\n');
-    }
-    (table, regressions)
-}
-
-/// Renders the timing records as the `BENCH_suite.json` document:
-/// `{ "<id>": {"wall_ms": .., "events": .., "events_per_sec": .., "jobs": .., "intra_jobs": .., "scale": ".."}, .. }`
-/// in experiment (paper) order.
-pub fn bench_json(records: &[BenchRecord]) -> String {
-    let mut s = String::from("{\n");
-    for (i, r) in records.iter().enumerate() {
-        s.push_str(&format!(
-            "  \"{}\": {{\"wall_ms\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}, \"jobs\": {}, \"intra_jobs\": {}, \"scale\": \"{}\"}}{}\n",
-            r.id,
-            r.wall_ms,
-            r.events,
-            r.events_per_sec,
-            r.jobs,
-            r.intra_jobs,
-            r.scale,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("}\n");
-    s
-}
-
 /// Runs the selected experiments, printing tables and per-experiment
-/// timings, optionally saving CSVs and the timing summary.
+/// timings, optionally saving CSVs.
 ///
 /// # Errors
 ///
-/// Propagates CSV and bench-file I/O failures.
+/// Propagates CSV I/O failures.
 pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), String> {
     let opts = cli.options();
     let jobs = opts.effective_jobs();
@@ -410,7 +169,6 @@ pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), String> {
     if let Some(dir) = &cli.csv_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
-    let mut records: Vec<BenchRecord> = Vec::new();
     for exp in cli.select()? {
         writeln!(out, "==> [{}] {}", exp.id, exp.title).map_err(|e| e.to_string())?;
         let events_before = cpsim_des::global_events_processed();
@@ -439,48 +197,6 @@ pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), String> {
             "    ({secs:.1}s wall, {events} events, {events_per_sec:.0} events/s, jobs={jobs}, intra-jobs={intra_jobs})"
         )
         .map_err(|e| e.to_string())?;
-        records.push(BenchRecord {
-            id: exp.id,
-            wall_ms: secs * 1000.0,
-            events,
-            events_per_sec,
-            jobs,
-            intra_jobs,
-            scale: if cli.quick { "quick" } else { "full" },
-        });
-    }
-    if let Some(path) = &cli.bench_path {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("creating {}: {e}", parent.display()))?;
-            }
-        }
-        std::fs::write(path, bench_json(&records))
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        writeln!(out, "bench: wrote {}", path.display()).map_err(|e| e.to_string())?;
-    }
-    if cli.compare {
-        let baseline_path = cli
-            .baseline
-            .clone()
-            .unwrap_or_else(|| PathBuf::from(BENCH_DEFAULT_PATH));
-        let baseline = load_baseline(&baseline_path)?;
-        if baseline.is_empty() {
-            return Err(format!(
-                "--compare: no baseline at {} (run a full-scale `repro` once to record one)",
-                baseline_path.display()
-            ));
-        }
-        let (table, regressions) = compare_records(&records, &baseline);
-        writeln!(out, "\n{table}").map_err(|e| e.to_string())?;
-        if !regressions.is_empty() {
-            return Err(format!(
-                "bench-compare: >2x events/sec regression vs {} in: {}",
-                baseline_path.display(),
-                regressions.join(", ")
-            ));
-        }
     }
     Ok(())
 }
@@ -506,6 +222,11 @@ mod tests {
         assert!(Cli::parse(["--bogus".to_string()]).is_err());
         assert!(Cli::parse(["--seed".to_string()]).is_err());
         assert!(Cli::parse(["--seed".to_string(), "x".to_string()]).is_err());
+        // Removed timing-file and gate flags are rejected, never ignored.
+        for flag in ["--bench", "--no-bench", "--compare", "--baseline"] {
+            let err = Cli::parse([flag, "x"].map(String::from)).unwrap_err();
+            assert_eq!(err, format!("unknown flag: {flag}"));
+        }
     }
 
     #[test]
@@ -543,259 +264,28 @@ mod tests {
     }
 
     #[test]
-    fn bench_flags_control_summary_path() {
-        // Full-scale runs write the summary by default...
-        let cli = Cli::parse(std::iter::empty::<String>()).unwrap();
-        assert_eq!(
-            cli.bench_path.as_deref(),
-            Some(std::path::Path::new(BENCH_DEFAULT_PATH))
-        );
-        // ...to an overridable location...
-        let cli = Cli::parse(["--bench", "/tmp/b.json"].map(String::from)).unwrap();
-        assert_eq!(
-            cli.bench_path.as_deref(),
-            Some(std::path::Path::new("/tmp/b.json"))
-        );
-        // ...unless disabled. Library callers default to off.
-        let cli = Cli::parse(["--no-bench".to_string()]).unwrap();
-        assert!(cli.bench_path.is_none());
-        assert!(Cli::default().bench_path.is_none());
-    }
-
-    #[test]
-    fn quick_mode_never_overwrites_full_record_by_default() {
-        // A quick run must not silently clobber the committed full-scale
-        // BENCH_suite.json: bench output defaults off under --quick...
-        let cli = Cli::parse(["--quick".to_string()]).unwrap();
-        assert!(cli.bench_path.is_none());
-        // ...regardless of flag order...
-        let cli = Cli::parse(["t1", "-q"].map(String::from)).unwrap();
-        assert!(cli.bench_path.is_none());
-        // ...but an explicit --bench opts back in (how CI captures its
-        // artifact), even when --quick comes after it.
-        let cli = Cli::parse(["--bench", "/tmp/b.json", "--quick"].map(String::from)).unwrap();
-        assert_eq!(
-            cli.bench_path.as_deref(),
-            Some(std::path::Path::new("/tmp/b.json"))
-        );
-        assert!(cli.quick);
-    }
-
-    #[test]
-    fn bench_json_is_well_formed_and_ordered() {
-        let records = vec![
-            BenchRecord {
-                id: "t1",
-                wall_ms: 12.5,
-                events: 1000,
-                events_per_sec: 80000.0,
-                jobs: 2,
-                intra_jobs: 1,
-                scale: "full",
-            },
-            BenchRecord {
-                id: "f4",
-                wall_ms: 250.0,
-                events: 50000,
-                events_per_sec: 200000.0,
-                jobs: 2,
-                intra_jobs: 2,
-                scale: "full",
-            },
-        ];
-        let json = bench_json(&records);
-        let t1 = json.find("\"t1\"").unwrap();
-        let f4 = json.find("\"f4\"").unwrap();
-        assert!(t1 < f4, "paper order preserved");
-        for key in [
-            "wall_ms",
-            "events",
-            "events_per_sec",
-            "jobs",
-            "intra_jobs",
-            "scale",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        // Exactly one trailing comma between the two objects, none after
-        // the last — i.e. parseable JSON.
-        assert_eq!(json.matches("},\n").count(), 1);
-        assert!(json.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn run_writes_bench_summary() {
-        let dir = std::env::temp_dir().join(format!("cpsim_bench_{}", std::process::id()));
-        let path = dir.join("BENCH_suite.json");
+    fn run_prints_timing_line_and_writes_no_file() {
+        let entries = || {
+            let mut names: Vec<_> = std::fs::read_dir(".")
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = entries();
         let cli = Cli {
             ids: vec!["t2".to_string()],
             quick: true,
             jobs: Some(1),
-            bench_path: Some(path.clone()),
             ..Cli::default()
         };
         let mut out = Vec::new();
         run(&cli, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("events/s"), "timing line printed: {text}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"t2\""));
-        assert!(json.contains("\"jobs\": 1"));
-        assert!(json.contains("\"scale\": \"quick\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn rec(id: &'static str, eps: f64, scale: &'static str) -> BenchRecord {
-        BenchRecord {
-            id,
-            wall_ms: 100.0,
-            events: 1000,
-            events_per_sec: eps,
-            jobs: 1,
-            intra_jobs: 1,
-            scale,
-        }
-    }
-
-    #[test]
-    fn bench_json_round_trips_through_parser() {
-        let records = vec![rec("t1", 80_000.0, "full"), rec("f4", 200_000.5, "full")];
-        let parsed = parse_bench_json(&bench_json(&records)).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "t1");
-        assert!((parsed[0].1.events_per_sec - 80_000.0).abs() < 1e-6);
-        assert_eq!(parsed[1].1.scale, "full");
-    }
-
-    #[test]
-    fn compare_flags_regressions_past_2x_only() {
-        let baseline = parse_bench_json(&bench_json(&[
-            rec("t1", 100_000.0, "full"),
-            rec("f4", 100_000.0, "full"),
-            rec("f5", 100_000.0, "full"),
-        ]))
-        .unwrap();
-        let current = vec![
-            rec("t1", 60_000.0, "full"),  // 0.6x: slower but inside the gate
-            rec("f4", 49_000.0, "full"),  // 0.49x: regression
-            rec("f5", 300_000.0, "full"), // improvement
-        ];
-        let (table, regressions) = compare_records(&current, &baseline);
-        assert_eq!(regressions, vec!["f4".to_string()]);
-        assert!(table.contains("| f4 | 100000 | 49000 | 0.49x | >2x regression |"));
-        assert!(table.contains("| t1 | 100000 | 60000 | 0.60x | ok |"));
-        assert!(table.contains("3.00x"));
-    }
-
-    #[test]
-    fn compare_across_scales_is_informational() {
-        let baseline = parse_bench_json(&bench_json(&[rec("f5", 1_000_000.0, "full")])).unwrap();
-        // 10x slower, but a quick run against a full baseline never gates.
-        let (table, regressions) = compare_records(&[rec("f5", 100_000.0, "quick")], &baseline);
-        assert!(regressions.is_empty());
-        assert!(table.contains("info only (full baseline vs quick run)"));
-    }
-
-    #[test]
-    fn compare_across_parallelism_settings_is_informational() {
-        // A baseline captured at different --jobs never gates, however
-        // slow the current run looks against it...
-        let baseline = parse_bench_json(&bench_json(&[BenchRecord {
-            jobs: 4,
-            ..rec("f5", 1_000_000.0, "full")
-        }]))
-        .unwrap();
-        let (table, regressions) = compare_records(&[rec("f5", 100_000.0, "full")], &baseline);
-        assert!(regressions.is_empty());
-        assert!(table.contains("info only (jobs 4 baseline vs 1 run)"));
-        // ...and likewise for mismatched --intra-jobs.
-        let baseline = parse_bench_json(&bench_json(&[BenchRecord {
-            intra_jobs: 2,
-            ..rec("f5", 1_000_000.0, "full")
-        }]))
-        .unwrap();
-        let (table, regressions) = compare_records(&[rec("f5", 100_000.0, "full")], &baseline);
-        assert!(regressions.is_empty());
-        assert!(table.contains("info only (intra-jobs 2 baseline vs 1 run)"));
-    }
-
-    #[test]
-    fn compare_gates_when_baseline_predates_parallelism_fields() {
-        // Old BENCH json without jobs/intra_jobs keys still gates: the
-        // fields parse as None and the mismatch check stays quiet.
-        let legacy = "{\n  \"f5\": {\"wall_ms\": 1.0, \"events\": 10, \
-                      \"events_per_sec\": 100000.0, \"scale\": \"full\"}\n}\n";
-        let baseline = parse_bench_json(legacy).unwrap();
-        assert_eq!(baseline[0].1.jobs, None);
-        assert_eq!(baseline[0].1.intra_jobs, None);
-        let (table, regressions) = compare_records(&[rec("f5", 49_000.0, "full")], &baseline);
-        assert_eq!(regressions, vec!["f5".to_string()]);
-        assert!(table.contains(">2x regression"));
-    }
-
-    #[test]
-    fn compare_handles_missing_baseline_entries() {
-        let (table, regressions) = compare_records(&[rec("f12", 5.0, "full")], &[]);
-        assert!(regressions.is_empty());
-        assert!(table.contains("new (no baseline)"));
-    }
-
-    #[test]
-    fn compare_flag_parses() {
-        let cli = Cli::parse(["--quick", "--compare"].map(String::from)).unwrap();
-        assert!(cli.compare);
-        assert!(cli.baseline.is_none());
-        let cli = Cli::parse(["--compare", "--baseline", "/tmp/b.json"].map(String::from)).unwrap();
-        assert_eq!(
-            cli.baseline.as_deref(),
-            Some(std::path::Path::new("/tmp/b.json"))
-        );
-        assert!(Cli::parse(["--baseline".to_string()]).is_err());
-    }
-
-    #[test]
-    fn listing_with_baseline_appends_throughput() {
-        let baseline = parse_bench_json(&bench_json(&[rec("t1", 123_456.0, "full")])).unwrap();
-        let l = listing_with_baseline(&baseline);
-        assert!(l.contains("last full: 123456 events/s"));
-        // Experiments the record predates are called out, not silent.
-        assert!(l.contains("f12"));
-        assert!(l.contains("(no recorded run)"), "{l}");
-        assert_eq!(l.matches("events/s").count(), 1);
-    }
-
-    #[test]
-    fn listing_without_baseline_stays_plain() {
-        let l = listing_with_baseline(&[]);
-        assert_eq!(l.matches("events/s").count(), 0);
-        assert!(!l.contains("(no recorded run)"), "{l}");
-    }
-
-    #[test]
-    fn run_with_compare_gates_against_baseline() {
-        let dir = std::env::temp_dir().join(format!("cpsim_cmp_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline_path = dir.join("base.json");
-        // An absurdly fast quick-scale baseline forces the gate to fire...
-        std::fs::write(&baseline_path, bench_json(&[rec("t2", 1e12, "quick")])).unwrap();
-        let cli = Cli {
-            ids: vec!["t2".to_string()],
-            quick: true,
-            jobs: Some(1),
-            compare: true,
-            baseline: Some(baseline_path.clone()),
-            ..Cli::default()
-        };
-        let mut out = Vec::new();
-        let err = run(&cli, &mut out).unwrap_err();
-        assert!(err.contains("t2"), "{err}");
-        // ...and an unachievably slow one passes.
-        std::fs::write(&baseline_path, bench_json(&[rec("t2", 1e-3, "quick")])).unwrap();
-        let mut out = Vec::new();
-        run(&cli, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("bench-compare"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(text.contains("s wall, "), "timing line printed: {text}");
+        assert!(text.contains(" events/s, jobs=1, intra-jobs=1)"), "{text}");
+        assert_eq!(entries(), before, "run without --csv wrote into the cwd");
     }
 
     #[test]

@@ -8,9 +8,13 @@ use crate::wheel::EventQueue;
 
 /// Process-wide tally of events handled by every [`Simulation`], flushed at
 /// the end of each `run_*` call (so the per-event hot path never touches
-/// shared state). The `cpsim-bench` harness snapshots it around an
-/// experiment to report events/sec; with parallel sweeps the workers have
-/// all joined by then, so the delta is exact.
+/// shared state). Consumers snapshot it around an experiment: `repro`
+/// prints the delta with each experiment's wall time, and the tier-1 test
+/// `tests/experiments_smoke.rs` asserts it exactly per experiment. With
+/// parallel sweeps the workers have all joined by then, so the delta is
+/// exact. Only [`Simulation`] queues feed it: a federated run's
+/// migration-coordinator events (`FedSim`'s `coord.events`, counted in
+/// `FedSim::events_processed`) are not in it.
 static GLOBAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Total events processed by all simulations in this process so far.
