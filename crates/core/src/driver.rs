@@ -85,7 +85,7 @@ pub struct CloudSim {
 impl CloudSim {
     /// Internal constructor used by [`Scenario`](crate::Scenario).
     pub(crate) fn assemble(
-        stack: MgmtStack,
+        mut stack: MgmtStack,
         mut generator: Option<RequestGenerator>,
         fault_events: Vec<FaultEvent>,
     ) -> Self {

@@ -21,9 +21,12 @@
 //! | sweep | points in order | seconds per point |
 //! |-------|-----------------|-------------------|
 //! | f10 | fed1, mult1, fed2, mult2, fed4, mult4, fed8, mult8 | 0.20, 0.34, 0.32, 0.35, 0.61, 0.35, 1.21, 0.31 |
-//! | f11 | 64, 256, 1024, 2048 hosts | 0.002, 0.005, 0.021, 0.045 |
+//! | f11 | 64, 256, 1024, 2048 hosts | 0.0003, 0.0009, 0.0045, 0.0102 |
 //! | f8 | 4–32 datastores × idle/loaded, 8–32 crowded VMs | ~0.005 each |
-//! | t1, f1, f2, f6 | cloud-a, cloud-b, enterprise (72 h) | 0.25, 0.16, 0.19 |
+//! | t1, f1, f2, f6 | enterprise, cloud-b, cloud-a (72 h) | 0.037, 0.039, 0.120 |
+//!
+//! The characterization sweeps list their profiles in that cost order
+//! and report them in table order (`experiments::loops::profile_sweep`).
 //!
 //! There is no per-point cost hint: when a new sweep breaks the
 //! convention, reorder its points rather than teach the executor about

@@ -7,17 +7,16 @@
 
 use cpsim_des::SimTime;
 use cpsim_metrics::Table;
-use cpsim_workload::{cloud_a, cloud_b, enterprise, TraceAnalysis};
+use cpsim_workload::TraceAnalysis;
 
-use crate::experiments::loops::sweep;
+use crate::experiments::loops::profile_sweep;
 use crate::experiments::{fmt, ExpOptions};
 use crate::Scenario;
 
 /// Runs F2.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let hours = opts.pick(48, 12);
-    let profiles = [cloud_a(), cloud_b(), enterprise()];
-    let analyses: Vec<(String, TraceAnalysis)> = sweep(opts, &profiles, |p| {
+    let analyses: Vec<(String, TraceAnalysis)> = profile_sweep(opts, |p| {
         let mut sim = Scenario::from_profile(p).seed(opts.seed).build();
         sim.run_until(SimTime::from_hours(hours));
         (p.name.clone(), sim.analyze_trace())

@@ -7,9 +7,8 @@
 
 use cpsim_des::SimTime;
 use cpsim_metrics::Table;
-use cpsim_workload::{cloud_a, cloud_b, enterprise};
 
-use crate::experiments::loops::sweep;
+use crate::experiments::loops::profile_sweep;
 use crate::experiments::{fmt, ExpOptions};
 use crate::Scenario;
 
@@ -31,8 +30,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             "p95",
         ],
     );
-    let profiles = [cloud_a(), cloud_b(), enterprise()];
-    let rows = sweep(opts, &profiles, |profile| {
+    let rows = profile_sweep(opts, |profile| {
         let mut sim = Scenario::from_profile(profile).seed(opts.seed).build();
         sim.run_until(SimTime::from_hours(hours));
         let mut a = sim.analyze_trace();

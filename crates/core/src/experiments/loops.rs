@@ -7,7 +7,7 @@ use cpsim_des::{SimDuration, SimTime};
 use cpsim_faults::RecoveryPolicy;
 use cpsim_federation::{FedScenario, FedSim, FedTopology, Router, RouterPolicy};
 use cpsim_mgmt::{CloneMode, ControlPlaneConfig};
-use cpsim_workload::Topology;
+use cpsim_workload::{cloud_a, cloud_b, enterprise, Profile, Topology};
 
 use crate::exec::parallel_map;
 use crate::experiments::ExpOptions;
@@ -28,6 +28,18 @@ where
     R: Send,
 {
     parallel_map(opts.effective_jobs(), points, f)
+}
+
+/// Runs `f` on each calibrated profile and returns the results in table
+/// order: cloud-a, cloud-b, enterprise.
+///
+/// The points go to [`sweep`] in ascending cost (enterprise, cloud-b,
+/// cloud-a), the order its heavy-end-first claiming expects, so the
+/// heaviest profile starts first instead of last.
+pub fn profile_sweep<R: Send>(opts: &ExpOptions, f: impl Fn(&Profile) -> R + Sync) -> Vec<R> {
+    let mut results = sweep(opts, &[enterprise(), cloud_b(), cloud_a()], f);
+    results.reverse();
+    results
 }
 
 /// The topology used by the load experiments: mid-sized, fully seeded, so

@@ -8,9 +8,9 @@
 
 use cpsim_des::SimTime;
 use cpsim_metrics::Table;
-use cpsim_workload::{cloud_a, cloud_b, enterprise, Profile};
+use cpsim_workload::Profile;
 
-use crate::experiments::loops::sweep;
+use crate::experiments::loops::profile_sweep;
 use crate::experiments::{fmt, ExpOptions};
 use crate::Scenario;
 
@@ -32,8 +32,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             "clone mode",
         ],
     );
-    let profiles = [cloud_a(), cloud_b(), enterprise()];
-    for row in sweep(opts, &profiles, |p| profile_row(p, hours, opts.seed)) {
+    for row in profile_sweep(opts, |p| profile_row(p, hours, opts.seed)) {
         table.row(row);
     }
     vec![table]

@@ -72,7 +72,9 @@ pub struct Simulation<M: Model> {
 }
 
 impl<M: Model> Simulation<M> {
-    /// Creates a simulation at time zero with an empty event queue.
+    /// Creates a simulation at time zero with an empty event queue. Forgets
+    /// this thread's [`dispatch_pos`](crate::dispatch_pos), so a position
+    /// left by an earlier simulation cannot leak into this one.
     pub fn new(model: M) -> Self {
         const {
             assert!(
@@ -80,6 +82,7 @@ impl<M: Model> Simulation<M> {
                 "event payload exceeds MAX_EVENT_BYTES: box the outsized variant"
             );
         }
+        crate::dispatch::reset();
         Simulation {
             model,
             queue: EventQueue::new(),
@@ -164,7 +167,9 @@ impl<M: Model> Simulation<M> {
     /// On return the clock is `max(now, horizon)` unless the event budget
     /// stopped the run, so consecutive horizons compose:
     /// `run_until(a); run_until(b)` with `a <= b` is equivalent to
-    /// `run_until(b)`.
+    /// `run_until(b)`. Unless the budget stopped it, the run then records
+    /// that it dispatched everything up to the clock (see
+    /// [`DispatchPos::settled`](crate::DispatchPos::settled)).
     ///
     /// The hot path is a single fused
     /// [`pop_if_before`](EventQueue::pop_if_before) per event instead of
@@ -205,6 +210,9 @@ impl<M: Model> Simulation<M> {
                 }
             }
         };
+        if outcome != RunOutcome::EventLimit {
+            crate::dispatch::record_settled(self.now, self.queue.next_seq());
+        }
         self.flush_events();
         outcome
     }
@@ -213,6 +221,7 @@ impl<M: Model> Simulation<M> {
     pub fn run_to_completion(&mut self) -> RunOutcome {
         let outcome = loop {
             if self.queue.is_empty() {
+                crate::dispatch::record_settled(self.now, self.queue.next_seq());
                 break RunOutcome::Drained;
             }
             if self.processed >= self.event_limit {

@@ -10,6 +10,8 @@
 //!   one master seed;
 //! - [`Dist`]: a serializable distribution vocabulary used by workload and
 //!   cost models;
+//! - [`dispatch_pos`]: where this thread's kernel stands in `(time, seq)`
+//!   order, for models that replay periodic work instead of scheduling it;
 //! - [`resource`]: queueing building blocks — a multi-server FIFO queue, an
 //!   FCFS station that times work by per-server clocks instead of
 //!   completion events, a counting slot pool for admission limits, and a
@@ -47,6 +49,7 @@
 //! assert_eq!(sim.now(), SimTime::from_secs(2));
 //! ```
 
+pub mod dispatch;
 pub mod dist;
 pub mod engine;
 pub mod hash;
@@ -57,6 +60,7 @@ pub mod rng;
 pub mod time;
 pub mod wheel;
 
+pub use dispatch::{dispatch_pos, DispatchPos};
 pub use dist::{Dist, DistError};
 pub use engine::{global_events_processed, Model, RunOutcome, Simulation, MAX_EVENT_BYTES};
 pub use hash::{FastMap, FastSet, FxHasher};

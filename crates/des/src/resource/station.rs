@@ -101,6 +101,10 @@ pub struct FcfsStation<J> {
     /// order).
     waiting: VecDeque<Waiter<J>>,
     occupancy: TimeWeighted,
+    /// The latest time the station was offered a job or a completion.
+    /// Touches must come in time order: a late one would rewrite
+    /// occupancy the station has already recorded.
+    touched: SimTime,
 }
 
 impl<J> FcfsStation<J> {
@@ -117,6 +121,7 @@ impl<J> FcfsStation<J> {
             busy: BinaryHeap::new(),
             waiting: VecDeque::new(),
             occupancy: TimeWeighted::new(SimTime::ZERO, 0.0),
+            touched: SimTime::ZERO,
         }
     }
 
@@ -189,7 +194,10 @@ impl<J> FcfsStation<J> {
         }
         // Every server is busy past `now` (settled): queue behind the first
         // to free, which stays busy.
-        let mut first = self.busy.peek_mut().expect("servers > 0");
+        let mut first = self
+            .busy
+            .peek_mut()
+            .expect("every server is busy here, and there is at least one");
         let ahead = first.0;
         first.0 = Clock::new(ahead.free_at() + service, lazy);
         Some(ahead)
@@ -202,6 +210,12 @@ impl<J> FcfsStation<J> {
             self.waiting.front().is_none_or(|w| w.start >= now),
             "an evented job was left waiting past its start time"
         );
+        debug_assert!(
+            now >= self.touched,
+            "station touched at {now} after a touch at {}",
+            self.touched
+        );
+        self.touched = now;
         while let Some(&Reverse(c)) = self.busy.peek() {
             if c.free_at() > now {
                 break;
@@ -284,6 +298,15 @@ mod tests {
         assert!((peek - 7.0 / 10.0).abs() < 1e-12);
         // 0-2: 1 busy, 2-4: 2, 4-5: 1, 5-6: 2 => 9 server-seconds of 12.
         assert!((st.utilization(at(6)) - 9.0 / 12.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "station touched at")]
+    fn touches_out_of_time_order_are_caught() {
+        let mut st: FcfsStation<()> = FcfsStation::new(1);
+        st.arrive_lazy(at(5), secs(1));
+        st.arrive_lazy(at(4), secs(1));
     }
 
     #[test]

@@ -537,9 +537,11 @@ impl<E> EventQueue<E> {
         cancelled.clear();
     }
 
-    /// Removes and returns the earliest live event, if any.
+    /// Removes and returns the earliest live event, if any, and records
+    /// its position as this thread's [`dispatch_pos`](crate::dispatch_pos).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let e = self.take_front()?;
+        crate::dispatch::record_pop(e.time, e.seq, self.next_seq);
         if !self.keyed.is_empty() {
             self.keyed.remove(&e.seq);
         }
@@ -563,6 +565,11 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.pop()
+    }
+
+    /// The seq the next scheduled event will get.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// The timestamp of the earliest pending live event, if any.

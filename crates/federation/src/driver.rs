@@ -294,7 +294,7 @@ impl FedSim {
     ) -> Self {
         let shard_count = shards.len();
         let mut shard_sims = Vec::with_capacity(shard_count);
-        for (s, core) in shards.into_iter().enumerate() {
+        for (s, mut core) in shards.into_iter().enumerate() {
             let init = core.stack.initial_events();
             let staleness = core.staleness;
             let mut sim = Simulation::new(core);

@@ -11,6 +11,12 @@ use cpsim_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Heartbeat cadence and per-beat control-plane costs.
+///
+/// The control plane charges each beat to its CPU and DB as background
+/// work. With fault injection each beat is a kernel event, because it
+/// also drives heartbeat-miss detection. Without it the plane keeps the
+/// beats off the event queue and replays them in kernel order (see
+/// `ControlPlane::init_events` in `cpsim-mgmt`).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HeartbeatSpec {
     /// Interval between beats from one host.

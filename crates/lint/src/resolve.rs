@@ -94,7 +94,8 @@ pub type EntrySpec = (Option<&'static str>, &'static str);
 
 /// The declared hot entry points R7 computes its closure from: the timer
 /// wheel's insert/cancel/pop surface, the federation turnstile, the
-/// threaded runner, placement, and the admission drain. These replace the
+/// threaded runner, placement, the admission drain, and the heartbeat
+/// replay with its lazy station arrivals. These replace the
 /// PR-4-era hand-maintained hot-file list — reachability, not file
 /// membership, now decides what "hot path" means.
 pub const HOT_ENTRY_POINTS: &[EntrySpec] = &[
@@ -118,6 +119,11 @@ pub const HOT_ENTRY_POINTS: &[EntrySpec] = &[
     (Some("AdmissionControl"), "release"),
     (Some("AdmissionControl"), "release_only"),
     (Some("AdmissionControl"), "drain_pending"),
+    // Heartbeat replay (crates/mgmt/src/plane.rs, crates/mgmt/src/beats.rs)
+    // and the lazy station arrival each beat makes
+    // (crates/des/src/resource/station.rs).
+    (Some("ControlPlane"), "replay_beats"),
+    (Some("FcfsStation"), "arrive_lazy"),
 ];
 
 /// Resolves every entry spec to fn indices; specs that resolve to nothing

@@ -122,7 +122,7 @@ impl RuleId {
                 "library crates must not print: output flows through metrics tables and the bench harness"
             }
             RuleId::PanicReachability => {
-                "no panic/unwrap may be reachable from a hot entry point (wheel, turnstile, runner, placement, admission) through any call chain"
+                "no panic/unwrap may be reachable from a hot entry point (wheel, turnstile, runner, placement, admission, heartbeat replay) through any call chain"
             }
             RuleId::RngStreamDiscipline => {
                 "RNG values must flow from named derive/substream constructors: no stream clones, literal re-seeding, or shared RNG cells"

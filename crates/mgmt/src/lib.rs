@@ -13,7 +13,9 @@
 //!   concurrency limits and per-VM operation locks, parking excess tasks in
 //!   a FIFO pending queue;
 //! - host heartbeats impose background CPU + DB load that scales with
-//!   inventory size.
+//!   inventory size. Without fault injection the plane keeps the beats off
+//!   the event queue and replays them in kernel order (see
+//!   [`ControlPlane::init_events`]).
 //!
 //! The plane is a deterministic state machine: callers feed it
 //! [`MgmtEvent`]s with explicit timestamps and route the returned
@@ -58,6 +60,7 @@
 //! ```
 
 pub mod admission;
+mod beats;
 pub mod config;
 pub mod gate;
 pub mod op;

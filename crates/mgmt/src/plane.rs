@@ -5,11 +5,13 @@
 //! deliver [`MgmtEvent`]s with explicit timestamps via
 //! [`ControlPlane::handle`] and route the returned [`Emit`]s.
 
+use std::cell::RefCell;
+
 use cpsim_des::FastMap;
 
 use cpsim_des::{Arrival, FcfsStation, SimDuration, SimRng, SimTime, Streams};
 use cpsim_faults::{FaultKind, RecoveryPolicy};
-use cpsim_hostagent::{AgentFleet, Primitive, ServiceMod};
+use cpsim_hostagent::{AgentFleet, HeartbeatSpec, Primitive, ServiceMod};
 use cpsim_inventory::{
     Arena, DatastoreId, DatastoreSpec, HostId, HostSpec, HostState, Inventory, PowerState, TaskId,
     VmId, VmSpec,
@@ -17,6 +19,7 @@ use cpsim_inventory::{
 use cpsim_storage::{StoragePool, TemplateResidency, TransferEngine, TransferId, GIB};
 
 use crate::admission::{AdmissionControl, Scope};
+use crate::beats::{Beat, BeatTrain};
 use crate::config::ControlPlaneConfig;
 use crate::gate::{GateDecision, PlacementGate};
 use crate::op::{CloneMode, OpKind, Operation};
@@ -88,7 +91,10 @@ pub enum MgmtEvent {
         /// Epoch guarding against staleness.
         epoch: u64,
     },
-    /// A host heartbeat is due.
+    /// A host heartbeat is due. Only planes with fault injection, where a
+    /// beat also drives miss detection, schedule these: a fault-free plane
+    /// keeps its beats off the queue (see
+    /// [`ControlPlane::init_events`]). Delivering one still runs the beat.
     Heartbeat {
         /// Index into the plane's heartbeat slot table.
         slot: usize,
@@ -138,14 +144,51 @@ struct TransferOwner {
     label: &'static str,
 }
 
+/// The management server's CPU and database, and the beats they are owed.
+struct Stations {
+    cpu: FcfsStation<ServiceJob>,
+    db: FcfsStation<ServiceJob>,
+    beats: BeatTrain,
+}
+
+impl Stations {
+    /// Replays every beat that comes before a call at `now` into the
+    /// stations (see [`BeatTrain::replay_due`]). A replayed beat makes the
+    /// lazy arrivals its event would have made, at the beat's own time.
+    fn replay_beats(
+        &mut self,
+        now: SimTime,
+        hosts: &[HostId],
+        inv: &Inventory,
+        hb: &HeartbeatSpec,
+    ) {
+        let (cpu, db) = (&mut self.cpu, &mut self.db);
+        self.beats.replay_due(now, hb.interval, |at, slot| {
+            if hosts.get(slot).is_none_or(|&h| inv.host(h).is_none()) {
+                return false; // host removed: stop its beats
+            }
+            if !hb.mgmt_cpu.is_zero() {
+                cpu.arrive_lazy(at, hb.mgmt_cpu);
+            }
+            if !hb.db_time.is_zero() {
+                db.arrive_lazy(at, hb.db_time);
+            }
+            true
+        });
+    }
+}
+
 /// The management server and everything it orchestrates.
 pub struct ControlPlane {
     cfg: ControlPlaneConfig,
     inv: Inventory,
     storage: StoragePool,
     residency: TemplateResidency,
-    cpu: FcfsStation<ServiceJob>,
-    db: FcfsStation<ServiceJob>,
+    /// Behind a `RefCell` so the `&self` utilization reads can replay the
+    /// beats due by the time they read (see
+    /// [`cpu_utilization`](Self::cpu_utilization)); every other access
+    /// goes through `get_mut`, which costs nothing.
+    stations: RefCell<Stations>,
     agents: AgentFleet<TaskId>,
     transfers: TransferEngine,
     /// Keyed lookups only (insert on start, remove on completion) — the
@@ -181,8 +224,11 @@ impl ControlPlane {
         cfg.validate().expect("invalid ControlPlaneConfig");
         let agents = AgentFleet::new(cfg.host_cost.clone(), streams.rng(Streams::SERVICE + 100));
         ControlPlane {
-            cpu: FcfsStation::new(cfg.effective_cores()),
-            db: FcfsStation::new(cfg.effective_db_connections()),
+            stations: RefCell::new(Stations {
+                cpu: FcfsStation::new(cfg.effective_cores()),
+                db: FcfsStation::new(cfg.effective_db_connections()),
+                beats: BeatTrain::default(),
+            }),
             admission: AdmissionControl::new(cfg.limits),
             agents,
             transfers: TransferEngine::new(),
@@ -321,7 +367,8 @@ impl ControlPlane {
     /// budgets, backoff, and heartbeat-miss detection; `timeout_prob` is
     /// the per-primitive hang probability; `rng` must come from a
     /// dedicated stream so fault draws never perturb service-time
-    /// sampling.
+    /// sampling. Call it before [`init_events`](Self::init_events), which
+    /// keeps the beats of a fault-free plane off the event queue.
     pub fn enable_faults(&mut self, policy: RecoveryPolicy, timeout_prob: f64, rng: SimRng) {
         self.faults = Some(FaultInjector::new(policy, timeout_prob, rng));
     }
@@ -350,6 +397,7 @@ impl ControlPlane {
     /// management load (one CPU slice + one DB statement), mirroring how
     /// heartbeats and resyncs are charged. No-op without a gate.
     pub fn sync_placement_gate(&mut self, now: SimTime, out: &mut Vec<Emit>) {
+        self.replay_beats(now);
         let Some(g) = self.gate.as_mut() else {
             return;
         };
@@ -370,20 +418,56 @@ impl ControlPlane {
         }
     }
 
-    /// Initial events: one staggered heartbeat per host. Call once after
-    /// setup, before running.
-    pub fn init_events(&self) -> Vec<Emit> {
-        if self.cfg.heartbeat.is_disabled() {
+    /// Starts the hosts' heartbeats, staggered across the interval. Call
+    /// after setup (and after [`enable_faults`](Self::enable_faults)),
+    /// before running.
+    ///
+    /// With fault injection a beat also drives miss detection, host state
+    /// and resync draws, so each beat is a kernel event: this returns one
+    /// [`MgmtEvent::Heartbeat`] per host to schedule. Without it a beat
+    /// only charges background CPU and DB work, and the plane keeps the
+    /// beats as a train of its own instead: this arms the train, returns
+    /// nothing, and is idempotent. Every call that touches the CPU or DB
+    /// first replays the beats that come before it in the kernel's
+    /// `(time, seq)` order ([`cpsim_des::dispatch_pos`]), so the stations
+    /// see the same arrivals in the same order as with evented beats.
+    /// With the beats off the queue, an idle simulation can drain its
+    /// queue before a horizon.
+    pub fn init_events(&mut self) -> Vec<Emit> {
+        let hb = self.cfg.heartbeat;
+        if hb.is_disabled() {
             return Vec::new();
         }
-        (0..self.heartbeat_hosts.len())
-            .map(|slot| {
-                Emit::At(
-                    self.cfg.heartbeat.first_beat(slot),
-                    MgmtEvent::Heartbeat { slot },
-                )
-            })
-            .collect()
+        let slots = 0..self.heartbeat_hosts.len();
+        if self.faults.is_some() {
+            return slots
+                .map(|slot| Emit::At(hb.first_beat(slot), MgmtEvent::Heartbeat { slot }))
+                .collect();
+        }
+        let beats = &mut self.stations.get_mut().beats;
+        beats.arm(slots.map(|slot| (slot, hb.first_beat(slot))));
+        Vec::new()
+    }
+
+    /// Replays the beats due before a call at `now` (see
+    /// [`init_events`](Self::init_events)).
+    #[inline]
+    fn replay_beats(&mut self, now: SimTime) {
+        self.stations.get_mut().replay_beats(
+            now,
+            &self.heartbeat_hosts,
+            &self.inv,
+            &self.cfg.heartbeat,
+        );
+    }
+
+    /// [`replay_beats`](Self::replay_beats) for the `&self` reads: the
+    /// beats due by `now` are replayed for good, as the next call at `now`
+    /// would replay them, so a pair of reads replays them once.
+    fn stations_at(&self, now: SimTime) -> std::cell::RefMut<'_, Stations> {
+        let mut st = self.stations.borrow_mut();
+        st.replay_beats(now, &self.heartbeat_hosts, &self.inv, &self.cfg.heartbeat);
+        st
     }
 
     // ---- accessors -------------------------------------------------------
@@ -418,14 +502,16 @@ impl ControlPlane {
         &self.admission
     }
 
-    /// Management-CPU utilization through `now` (0..=1).
+    /// Management-CPU utilization through `now` (0..=1), heartbeats due
+    /// by `now` included.
     pub fn cpu_utilization(&self, now: SimTime) -> f64 {
-        self.cpu.utilization(now)
+        self.stations_at(now).cpu.utilization(now)
     }
 
-    /// Database utilization through `now` (0..=1).
+    /// Database utilization through `now` (0..=1), heartbeats due by
+    /// `now` included.
     pub fn db_utilization(&self, now: SimTime) -> f64 {
-        self.db.utilization(now)
+        self.stations_at(now).db.utilization(now)
     }
 
     /// Datastore copy-bandwidth busy fraction through `now`.
@@ -480,6 +566,7 @@ impl ControlPlane {
 
     /// Processes one event, appending follow-up emissions to `out`.
     pub fn handle(&mut self, now: SimTime, event: MgmtEvent, out: &mut Vec<Emit>) {
+        self.replay_beats(now);
         match event {
             MgmtEvent::Submit(op) => {
                 self.stats.on_submitted(op.kind.name());
@@ -506,7 +593,7 @@ impl ControlPlane {
                         task.charge(PhaseClass::Cpu, job.label, job.service.as_secs_f64());
                     }
                 }
-                if let Some(next) = self.cpu.complete(now) {
+                if let Some(next) = self.stations.get_mut().cpu.complete(now) {
                     self.charge_queue_wait(next.job.owner, next.waited);
                     out.push(Emit::At(
                         now + next.job.service,
@@ -523,7 +610,7 @@ impl ControlPlane {
                         task.charge(PhaseClass::Db, job.label, job.service.as_secs_f64());
                     }
                 }
-                if let Some(next) = self.db.complete(now) {
+                if let Some(next) = self.stations.get_mut().db.complete(now) {
                     self.charge_queue_wait(next.job.owner, next.waited);
                     out.push(Emit::At(
                         now + next.job.service,
@@ -711,7 +798,7 @@ impl ControlPlane {
             label,
             service,
         };
-        if let Some((at, job)) = Self::offer(&mut self.cpu, now, job) {
+        if let Some((at, job)) = Self::offer(&mut self.stations.get_mut().cpu, now, job) {
             out.push(Emit::At(at, MgmtEvent::CpuDone(job)));
         }
     }
@@ -736,7 +823,7 @@ impl ControlPlane {
             label,
             service,
         };
-        if let Some((at, job)) = Self::offer(&mut self.db, now, job) {
+        if let Some((at, job)) = Self::offer(&mut self.stations.get_mut().db, now, job) {
             out.push(Emit::At(at, MgmtEvent::DbDone(job)));
         }
     }
@@ -2089,11 +2176,19 @@ impl ControlPlane {
                 self.agents.add_host(host, self.cfg.agent_concurrency);
                 let slot = self.heartbeat_hosts.len();
                 self.heartbeat_hosts.push(host);
-                if !self.cfg.heartbeat.is_disabled() {
-                    out.push(Emit::At(
-                        now + self.cfg.heartbeat.interval,
-                        MgmtEvent::Heartbeat { slot },
-                    ));
+                let hb = self.cfg.heartbeat;
+                let beats = &mut self.stations.get_mut().beats;
+                if beats.is_armed() {
+                    // Its event would have been scheduled by this call,
+                    // behind the timers already emitted.
+                    let ahead = out.iter().filter(|e| matches!(e, Emit::At(..))).count();
+                    beats.push(Beat {
+                        at: now + hb.interval,
+                        seq: cpsim_des::dispatch_pos().next_seq + ahead as u64,
+                        slot,
+                    });
+                } else if !hb.is_disabled() {
+                    out.push(Emit::At(now + hb.interval, MgmtEvent::Heartbeat { slot }));
                 }
                 self.tasks
                     .get_mut(tid)

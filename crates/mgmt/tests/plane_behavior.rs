@@ -497,10 +497,19 @@ fn relocate_moves_storage_with_byte_proportional_cost() {
 
 #[test]
 fn add_host_grows_inventory_and_schedules_heartbeats() {
-    let mut cfg = ControlPlaneConfig::default();
-    // Keep heartbeats on to check they start for the new host.
+    // Heavy beats, so the new host's share is plain to see: 100 ms of CPU
+    // per host per second.
+    let cfg = ControlPlaneConfig {
+        heartbeat: cpsim_hostagent::HeartbeatSpec {
+            interval: SimDuration::from_secs(1),
+            mgmt_cpu: SimDuration::from_millis(100),
+            db_time: SimDuration::ZERO,
+        },
+        ..Default::default()
+    };
+    let cores = f64::from(cfg.effective_cores());
     let mut r = {
-        let mut plane = ControlPlane::new(cfg.clone(), Streams::new(42));
+        let mut plane = ControlPlane::new(cfg, Streams::new(42));
         let ds = plane.add_datastore(DatastoreSpec::new("ds0", 2048.0, 100.0));
         let h = plane.add_host(HostSpec::new("h0", 48_000, 262_144));
         plane.connect(h, ds).unwrap();
@@ -514,7 +523,6 @@ fn add_host_grows_inventory_and_schedules_heartbeats() {
             template,
         }
     };
-    cfg.heartbeat = cpsim_hostagent::HeartbeatSpec::default();
     let before = r.plane.inventory().counts().hosts;
     let mut emits = r.plane.init_events();
     emits.extend(r.plane.submit_collect(
@@ -524,7 +532,6 @@ fn add_host_grows_inventory_and_schedules_heartbeats() {
             r.datastores.clone(),
         ),
     ));
-    // Bounded horizon: heartbeats recur forever.
     let reports = drive(&mut r.plane, emits, SimTime::from_hours(1));
     let add = reports
         .iter()
@@ -534,6 +541,11 @@ fn add_host_grows_inventory_and_schedules_heartbeats() {
     assert_eq!(r.plane.inventory().counts().hosts, before + 1);
     // Host-sync is expensive: tens of seconds of control time.
     assert!(add.cpu_secs > 10.0);
+    // Long after the add, both hosts beat: 0.2 core-seconds per second.
+    let busy = |t: u64| r.plane.cpu_utilization(SimTime::from_secs(t)) * t as f64 * cores;
+    let early = busy(2_000);
+    let rate = (busy(3_000) - early) / 1_000.0;
+    assert!((rate - 0.2).abs() < 1e-3, "beat load {rate}");
     let _ = r.template;
 }
 
@@ -564,7 +576,9 @@ fn heartbeat_work_needs_no_completion_events() {
         let h = plane.add_host(HostSpec::new(format!("h{i}"), 10_000, 65_536));
         plane.connect(h, ds).unwrap();
     }
+    // A fault-free plane keeps its beats off the queue altogether.
     let emits = plane.init_events();
+    assert!(emits.is_empty(), "a fault-free plane emitted beat events");
     let horizon = SimTime::from_secs(600);
     let (mut beats, mut completions) = (0, 0);
     drive_observed(&mut plane, emits, horizon, |_, ev| match ev {
@@ -572,7 +586,7 @@ fn heartbeat_work_needs_no_completion_events() {
         MgmtEvent::CpuDone(_) | MgmtEvent::DbDone(_) => completions += 1,
         _ => {}
     });
-    assert!(beats >= 8 * 30, "only {beats} beats");
+    assert_eq!(beats, 0, "heartbeats were scheduled as events");
     assert_eq!(
         completions, 0,
         "background work scheduled completion events"

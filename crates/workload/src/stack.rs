@@ -103,8 +103,9 @@ impl<H: ReportHook> MgmtStack<H> {
         }
     }
 
-    /// The plane's initial timers, to schedule once before the run.
-    pub fn initial_events<E: StackEvent>(&self) -> impl Iterator<Item = (SimTime, E)> {
+    /// The plane's initial timers, to schedule once before the run (see
+    /// [`ControlPlane::init_events`]).
+    pub fn initial_events<E: StackEvent>(&mut self) -> impl Iterator<Item = (SimTime, E)> {
         let init = self.plane.init_events().into_iter();
         init.filter_map(|e| match e {
             Emit::At(t, ev) => Some((t, E::mgmt(ev))),

@@ -26,22 +26,22 @@ use cpsim::experiments::{all, ExpOptions};
 /// `all()` order. A change that deliberately alters the work a model does
 /// moves these: the failing test prints the replacement table to paste.
 const EVENTS: [(&str, u64); 17] = [
-    ("t1", 227910),
-    ("f1", 227910),
-    ("f2", 348129),
-    ("f3", 3731),
-    ("f4", 85397),
-    ("f5", 119007),
-    ("f6", 348129),
-    ("f7", 210889),
-    ("f8", 106300),
-    ("f9", 174505),
-    ("t2", 3731),
-    ("f10", 285450),
-    ("f11", 17327),
-    ("f12", 11071),
+    ("t1", 20547),
+    ("f1", 20547),
+    ("f2", 37086),
+    ("f3", 675),
+    ("f4", 71589),
+    ("f5", 117852),
+    ("f6", 37086),
+    ("f7", 3517),
+    ("f8", 2614),
+    ("f9", 172773),
+    ("t2", 675),
+    ("f10", 284439),
+    ("f11", 45),
+    ("f12", 7229),
     ("t3", 4112),
-    ("f13", 139032),
+    ("f13", 138743),
     ("f14", 1296),
 ];
 
