@@ -156,8 +156,24 @@ pub fn listing() -> String {
         .join("\n")
 }
 
+/// Resets the process's peak resident set, so that the next
+/// [`peak_rss_mib`] read covers only what ran since. Linux only: writes
+/// `5` to `/proc/self/clear_refs`. Returns whether the reset took.
+fn reset_peak_rss() -> bool {
+    cfg!(target_os = "linux") && std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// Peak resident set since the last reset, MiB: `VmHWM` from
+/// `/proc/self/status`. `None` where that file does not exist.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// Runs the selected experiments, printing tables and per-experiment
-/// timings, optionally saving CSVs.
+/// timings and peak memory, optionally saving CSVs.
 ///
 /// # Errors
 ///
@@ -171,11 +187,16 @@ pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), String> {
     }
     for exp in cli.select()? {
         writeln!(out, "==> [{}] {}", exp.id, exp.title).map_err(|e| e.to_string())?;
+        let peak_reset = reset_peak_rss();
         let events_before = cpsim_des::global_events_processed();
         let started = std::time::Instant::now();
         let tables: Vec<Table> = (exp.run)(&opts);
         let wall = started.elapsed();
         let events = cpsim_des::global_events_processed() - events_before;
+        let peak = match peak_rss_mib() {
+            Some(mib) if peak_reset => format!("{mib:.1} MiB peak, "),
+            _ => String::new(),
+        };
         for (i, table) in tables.iter().enumerate() {
             writeln!(out, "\n{table}").map_err(|e| e.to_string())?;
             if let Some(dir) = &cli.csv_dir {
@@ -194,7 +215,7 @@ pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), String> {
         };
         writeln!(
             out,
-            "    ({secs:.1}s wall, {events} events, {events_per_sec:.0} events/s, jobs={jobs}, intra-jobs={intra_jobs})"
+            "    ({secs:.1}s wall, {peak}{events} events, {events_per_sec:.0} events/s, jobs={jobs}, intra-jobs={intra_jobs})"
         )
         .map_err(|e| e.to_string())?;
     }
@@ -285,6 +306,9 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("s wall, "), "timing line printed: {text}");
         assert!(text.contains(" events/s, jobs=1, intra-jobs=1)"), "{text}");
+        if cfg!(target_os = "linux") && reset_peak_rss() {
+            assert!(text.contains(" MiB peak, "), "peak memory printed: {text}");
+        }
         assert_eq!(entries(), before, "run without --csv wrote into the cwd");
     }
 

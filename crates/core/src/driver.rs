@@ -126,8 +126,14 @@ impl CloudSim {
         self.sim.model_mut().arrivals_enabled = false;
     }
 
-    /// Keep full task reports in memory (off by default; traces are always
-    /// collected unless disabled in the scenario).
+    /// Keep a full [`TaskReport`] of every finished task (off by default).
+    ///
+    /// Every finished task is already traced unless the scenario turned
+    /// the trace off, and its [`TraceRecord`](cpsim_workload::TraceRecord)
+    /// holds every field the experiments read. A kept report is a second
+    /// copy per task, with its per-phase breakdown. Turn this on only to
+    /// compare full reports (placements, retries, breakdowns), as the
+    /// federation-equivalence and jobs-determinism tests do.
     pub fn keep_task_reports(&mut self, on: bool) {
         self.sim.model_mut().stack.keep_task_reports = on;
     }
@@ -185,7 +191,8 @@ impl CloudSim {
         &self.sim.model().stack.trace
     }
 
-    /// Full task reports (only if `keep_task_reports` was enabled).
+    /// Full task reports, in completion order (empty unless
+    /// [`keep_task_reports`](Self::keep_task_reports) was enabled).
     pub fn task_reports(&self) -> &[TaskReport] {
         &self.sim.model().stack.task_reports
     }

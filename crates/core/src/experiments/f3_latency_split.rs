@@ -41,16 +41,17 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     );
     for kind in KINDS {
         let mut lat: Summary = sim
-            .task_reports()
+            .trace()
+            .records()
             .iter()
-            .filter(|r| r.kind == kind && r.is_success())
-            .map(|r| r.latency.as_secs_f64())
+            .filter(|r| r.kind == kind && r.success)
+            .map(|r| r.latency_s)
             .collect();
         if lat.is_empty() {
             continue;
         }
-        let control = mean_of(&sim, kind, |r| r.control_secs()).unwrap_or(0.0);
-        let data = mean_of(&sim, kind, |r| r.data_secs).unwrap_or(0.0);
+        let control = mean_of(&sim, kind, |r| r.control_s()).unwrap_or(0.0);
+        let data = mean_of(&sim, kind, |r| r.data_s).unwrap_or(0.0);
         let share = if control + data > 0.0 {
             data / (control + data) * 100.0
         } else {

@@ -198,7 +198,6 @@ fn redistribute_idle(seed: u64, datastores: u32) -> f64 {
 /// `(redistribute_s, clone_latency_before_s, clone_latency_during_s)`.
 fn redistribute_loaded(seed: u64, datastores: u32) -> (f64, f64, f64) {
     let mut sim = build(seed, reconfig_topology(datastores));
-    sim.keep_task_reports(true);
     let template = sim.templates()[0];
     let org = sim.org();
     // Foreground load: full clones every 120 s (~85 % of the source
@@ -233,15 +232,16 @@ fn redistribute_loaded(seed: u64, datastores: u32) -> (f64, f64, f64) {
     let reconfig_end = r.completed_at;
     let clone_mean = |from: SimTime, to: SimTime| -> f64 {
         let samples: Vec<f64> = sim
-            .task_reports()
+            .trace()
+            .records()
             .iter()
             .filter(|x| {
                 x.kind == "clone-full"
-                    && x.is_success()
-                    && x.submitted_at >= from
-                    && x.submitted_at < to
+                    && x.success
+                    && x.submitted_at() >= from
+                    && x.submitted_at() < to
             })
-            .map(|x| x.latency.as_secs_f64())
+            .map(|x| x.latency_s)
             .collect();
         if samples.is_empty() {
             0.0

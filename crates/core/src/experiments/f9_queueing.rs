@@ -33,10 +33,11 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         let interval = SimDuration::from_secs_f64(3_600.0 / rate);
         let (res, sim) = open_loop(opts.seed, ControlPlaneConfig::default(), interval, duration);
         let mut waits: Summary = sim
-            .task_reports()
+            .trace()
+            .records()
             .iter()
-            .filter(|r| r.is_success())
-            .map(|r| r.queue_secs + r.admission_secs)
+            .filter(|r| r.success)
+            .map(|r| r.queue_s + r.admission_s)
             .collect();
         [
             format!("{load:.1}"),

@@ -6,8 +6,8 @@ use cpsim_cloud::{CloudRequest, ProvisioningPolicy};
 use cpsim_des::{SimDuration, SimTime};
 use cpsim_faults::RecoveryPolicy;
 use cpsim_federation::{FedScenario, FedSim, FedTopology, Router, RouterPolicy};
-use cpsim_mgmt::{CloneMode, ControlPlaneConfig};
-use cpsim_workload::{cloud_a, cloud_b, enterprise, Profile, Topology};
+use cpsim_mgmt::{CloneMode, ControlPlane, ControlPlaneConfig};
+use cpsim_workload::{cloud_a, cloud_b, enterprise, Outcome, Profile, Topology, TraceLog};
 
 use crate::exec::parallel_map;
 use crate::experiments::ExpOptions;
@@ -69,6 +69,24 @@ pub fn load_policy() -> ProvisioningPolicy {
         power_on: false,
         ..Default::default()
     }
+}
+
+/// End-of-run task conservation on one plane, checked in debug builds:
+/// every finished task was traced once, and every submitted task has
+/// finished or is still in flight. The load loops read their results
+/// from the trace, so a lost or doubled record would skew them silently.
+fn debug_assert_tasks_conserved(plane: &ControlPlane, trace: &TraceLog) {
+    let stats = plane.stats();
+    debug_assert_eq!(
+        trace.len() as u64,
+        stats.completed() + stats.failed(),
+        "trace records != finished tasks"
+    );
+    debug_assert_eq!(
+        stats.submitted(),
+        stats.completed() + stats.failed() + plane.tasks_in_flight() as u64,
+        "submitted tasks != finished + in flight"
+    );
 }
 
 /// Result of a load run.
@@ -169,6 +187,7 @@ pub fn closed_loop(
         }
     }
 
+    debug_assert_tasks_conserved(sim.plane(), sim.trace());
     let now = sim.now();
     let ds_busy = sim
         .datastores()
@@ -242,7 +261,6 @@ pub fn fed_closed_loop(
         .staleness(staleness)
         .build();
     sim.set_intra_jobs(intra_jobs);
-    sim.keep_task_reports(true);
     let mut router = Router::new(RouterPolicy::LeastLoaded);
     let submit = |sim: &mut FedSim, at: SimTime, s: usize| {
         let org = sim.org(s);
@@ -323,14 +341,15 @@ pub fn fed_closed_loop(
     let mut failures = 0u64;
     let mut pending_peak = 0usize;
     for s in 0..shards {
-        for r in sim.task_reports(s) {
-            if r.aborted {
+        debug_assert_tasks_conserved(sim.plane(s), sim.trace(s));
+        for r in sim.trace(s).records() {
+            if r.outcome == Outcome::Aborted {
                 aborted += 1;
             }
-            if matches!(r.kind, "clone-linked" | "clone-full" | "create-vm")
-                && r.completed_at >= SimTime::ZERO + warmup
+            if matches!(&*r.kind, "clone-linked" | "clone-full" | "create-vm")
+                && r.completed_at() >= SimTime::ZERO + warmup
             {
-                delays.push(r.queue_secs + r.admission_secs);
+                delays.push(r.queue_s + r.admission_s);
             }
         }
         failures += sim.plane(s).stats().failed();
@@ -380,14 +399,14 @@ pub fn open_loop(
 /// Drives an already-built sim with the same open loop. The fault
 /// experiments build their own [`Scenario`] (carrying a fault plan and a
 /// failure policy) and reuse the loop so faulty and fault-free runs see
-/// identical offered load.
+/// identical offered load. Per-task results are read from the returned
+/// sim's trace, so the scenario must collect one (the default).
 pub fn open_loop_on(
     mut sim: CloudSim,
     mode: CloneMode,
     interval: SimDuration,
     duration: SimDuration,
 ) -> (LoadResult, CloudSim) {
-    sim.keep_task_reports(true);
     let template = sim.templates()[0];
     let org = sim.org();
     let mut t = SimTime::ZERO + SimDuration::from_secs(1);
@@ -408,6 +427,7 @@ pub fn open_loop_on(
         t += interval;
     }
     sim.run_until(end);
+    debug_assert_tasks_conserved(sim.plane(), sim.trace());
     let now = sim.now();
     let completed: Vec<f64> = sim
         .cloud_reports()

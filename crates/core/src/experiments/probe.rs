@@ -5,7 +5,7 @@
 
 use cpsim_des::{SimDuration, SimTime};
 use cpsim_mgmt::{CloneMode, OpKind};
-use cpsim_workload::Topology;
+use cpsim_workload::{Topology, TraceRecord};
 
 use crate::experiments::ExpOptions;
 use crate::{CloudSim, Scenario};
@@ -26,11 +26,10 @@ fn probe_topology() -> Topology {
 }
 
 /// Runs the probe: `n` samples of each operation kind, widely spaced.
-/// Returns the finished simulation with task reports retained.
+/// Returns the finished simulation; its trace holds every task.
 pub fn run_probe(opts: &ExpOptions) -> CloudSim {
     let n = opts.pick(30u64, 5u64);
     let mut sim = Scenario::bare(probe_topology()).seed(opts.seed).build();
-    sim.keep_task_reports(true);
     let template = sim.templates()[0];
     let gap = SimDuration::from_secs(60);
 
@@ -65,9 +64,10 @@ pub fn run_probe(opts: &ExpOptions) -> CloudSim {
 
     // Phase B: one sequence of lifecycle ops per produced VM, staggered.
     let vms: Vec<_> = sim
-        .task_reports()
+        .trace()
+        .records()
         .iter()
-        .filter(|r| r.is_success())
+        .filter(|r| r.success)
         .filter_map(|r| r.produced_vm)
         .collect();
     assert!(!vms.is_empty(), "probe produced no VMs");
@@ -118,16 +118,14 @@ pub fn run_probe(opts: &ExpOptions) -> CloudSim {
     sim
 }
 
-/// Mean of `f` over successful reports of `kind`; `None` if no samples.
-pub fn mean_of(
-    sim: &CloudSim,
-    kind: &str,
-    f: impl Fn(&cpsim_mgmt::TaskReport) -> f64,
-) -> Option<f64> {
+/// Mean of `f` over successful traced tasks of `kind`; `None` if no
+/// samples.
+pub fn mean_of(sim: &CloudSim, kind: &str, f: impl Fn(&TraceRecord) -> f64) -> Option<f64> {
     let samples: Vec<f64> = sim
-        .task_reports()
+        .trace()
+        .records()
         .iter()
-        .filter(|r| r.kind == kind && r.is_success())
+        .filter(|r| r.kind == kind && r.success)
         .map(f)
         .collect();
     if samples.is_empty() {

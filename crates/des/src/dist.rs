@@ -186,10 +186,21 @@ impl Dist {
                 }
             }
         };
-        if x.is_finite() && x >= 0.0 {
-            x
-        } else {
-            0.0
+        clamp_sample(x)
+    }
+
+    /// This distribution prepared for repeated sampling: parameters that
+    /// every draw would otherwise re-derive are computed once. Draws are
+    /// bit-identical to [`sample`](Self::sample)'s on the same stream.
+    pub fn sampler(&self) -> Sampler {
+        match self {
+            Dist::LogNormal { median, sigma } => match LogNormal::new(median.ln(), *sigma) {
+                Ok(d) => Sampler(Prepared::LogNormal(d)),
+                // Unvalidated parameters (a hand-written JSON profile)
+                // keep failing where `sample` fails: at the draw.
+                Err(_) => Sampler(Prepared::Other(self.clone())),
+            },
+            other => Sampler(Prepared::Other(other.clone())),
         }
     }
 
@@ -211,6 +222,44 @@ impl Dist {
             }
             Dist::Weibull { scale, shape } => Some(scale * gamma(1.0 + 1.0 / shape)),
             Dist::Empirical { points } => Some(points.iter().sum::<f64>() / points.len() as f64),
+        }
+    }
+}
+
+/// Maps a raw draw onto the non-negative finite range every sample has.
+fn clamp_sample(x: f64) -> f64 {
+    if x.is_finite() && x >= 0.0 {
+        x
+    } else {
+        0.0
+    }
+}
+
+/// A [`Dist`] prepared for repeated sampling (see [`Dist::sampler`]).
+///
+/// Cost models draw from the same few distributions millions of times.
+/// A log-normal [`Dist`] stores its median, so each [`Dist::sample`]
+/// call takes `median.ln()` before drawing; the sampler stores `mu`
+/// instead. Other shapes have nothing to precompute and sample through
+/// the `Dist` itself.
+#[derive(Clone, Debug)]
+pub struct Sampler(Prepared);
+
+#[derive(Clone, Debug)]
+enum Prepared {
+    /// Log-normal with `mu = median.ln()` already taken.
+    LogNormal(LogNormal),
+    /// Any other distribution, sampled as is.
+    Other(Dist),
+}
+
+impl Sampler {
+    /// Draws one sample, bit-identical to the source [`Dist::sample`].
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        match &self.0 {
+            Prepared::LogNormal(d) => clamp_sample(d.sample(rng)),
+            Prepared::Other(d) => d.sample(rng),
         }
     }
 }
@@ -500,6 +549,25 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: Dist = serde_json::from_str(&json).unwrap();
         assert_eq!(d, back);
+    }
+
+    #[test]
+    fn sampler_draws_match_dist_draws() {
+        let dists = [
+            Dist::log_normal(0.02, 0.4).unwrap(),
+            Dist::log_normal(1e300, 10.0).unwrap(),
+            Dist::exponential(2.0).unwrap(),
+            Dist::empirical(vec![1.0, 4.0]).unwrap(),
+        ];
+        for d in &dists {
+            let s = d.sampler();
+            let (mut a, mut b) = (rng(), rng());
+            for _ in 0..1000 {
+                assert_eq!(d.sample(&mut a).to_bits(), s.sample(&mut b).to_bits());
+            }
+        }
+        assert!(matches!(dists[0].sampler().0, Prepared::LogNormal(_)));
+        assert!(matches!(dists[2].sampler().0, Prepared::Other(_)));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod time;
 pub mod wheel;
 
 pub use dispatch::{dispatch_pos, DispatchPos};
-pub use dist::{Dist, DistError};
+pub use dist::{Dist, DistError, Sampler};
 pub use engine::{global_events_processed, Model, RunOutcome, Simulation, MAX_EVENT_BYTES};
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use queue::{TimerToken, TokenGen};

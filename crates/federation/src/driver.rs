@@ -479,7 +479,10 @@ impl FedSim {
         self.shard_sims.len()
     }
 
-    /// Keep full task reports in memory on every shard (off by default).
+    /// Keep a full [`TaskReport`] of every finished task on every shard
+    /// (off by default). Each shard's [`trace`](Self::trace) already holds
+    /// what the experiments read; turn this on only to compare full
+    /// reports, as the federation-equivalence test does.
     pub fn keep_task_reports(&mut self, on: bool) {
         for sim in &mut self.shard_sims {
             sim.model_mut().stack.keep_task_reports = on;
@@ -531,7 +534,8 @@ impl FedSim {
         &self.shard_sims[s].model().stack.cloud_reports
     }
 
-    /// Shard `s`'s full task reports (only if `keep_task_reports` is on).
+    /// Shard `s`'s full task reports, in completion order (empty unless
+    /// [`keep_task_reports`](Self::keep_task_reports) is on).
     pub fn task_reports(&self, s: usize) -> &[TaskReport] {
         &self.shard_sims[s].model().stack.task_reports
     }

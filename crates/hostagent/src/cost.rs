@@ -1,6 +1,6 @@
 //! Host-side primitives and their service-time model.
 
-use cpsim_des::Dist;
+use cpsim_des::{Dist, Sampler, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// A host-side primitive operation executed by the agent.
@@ -132,6 +132,40 @@ impl HostCostModel {
     }
 }
 
+/// A [`HostCostModel`] prepared for sampling: one [`Sampler`] per
+/// primitive, indexed by its declaration position (see [`Dist::sampler`]).
+pub(crate) struct ServiceSamplers {
+    by_primitive: Vec<Option<Sampler>>,
+}
+
+impl ServiceSamplers {
+    pub(crate) fn new(model: &HostCostModel) -> Self {
+        ServiceSamplers {
+            by_primitive: Primitive::ALL
+                .iter()
+                .map(|&p| {
+                    let found = model.dists.iter().find(|(q, _)| *q == p);
+                    found.map(|(_, d)| d.sampler())
+                })
+                .collect(),
+        }
+    }
+
+    /// One service time for `p`, bit-identical to sampling
+    /// [`HostCostModel::service_dist`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model has no entry for `p`, as `service_dist` does.
+    pub(crate) fn sample(&self, p: Primitive, rng: &mut SimRng) -> f64 {
+        self.by_primitive
+            .get(p as usize)
+            .and_then(Option::as_ref)
+            .expect("the default cost model covers every primitive")
+            .sample(rng)
+    }
+}
+
 impl Default for HostCostModel {
     fn default() -> Self {
         let ln = |median: f64, sigma: f64| Dist::log_normal(median, sigma).expect("valid params");
@@ -167,6 +201,23 @@ mod tests {
         for p in Primitive::ALL {
             let _ = m.service_dist(p); // must not panic
             assert!(m.mean_secs(p) > 0.0, "{p} has zero mean");
+        }
+    }
+
+    #[test]
+    fn samplers_are_indexed_by_declaration_order() {
+        for (i, p) in Primitive::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "{p} out of declaration order");
+        }
+        let mut m = HostCostModel::default();
+        m.set(Primitive::PowerOnVm, Dist::constant(9.0).unwrap());
+        let s = ServiceSamplers::new(&m);
+        let rng = || cpsim_des::Streams::new(3).rng(0);
+        assert_eq!(s.sample(Primitive::PowerOnVm, &mut rng()), 9.0);
+        for p in Primitive::ALL {
+            let (mut a, mut b) = (rng(), rng());
+            let want = m.service_dist(p).sample(&mut a);
+            assert_eq!(s.sample(p, &mut b).to_bits(), want.to_bits(), "{p}");
         }
     }
 

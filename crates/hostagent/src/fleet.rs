@@ -6,7 +6,7 @@ use std::fmt;
 use cpsim_des::{FifoQueue, SimDuration, SimRng, SimTime};
 use cpsim_inventory::HostId;
 
-use crate::cost::{HostCostModel, Primitive};
+use crate::cost::{HostCostModel, Primitive, ServiceSamplers};
 
 /// Errors raised by the agent fleet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,6 +98,8 @@ pub struct AgentFleet<J> {
     /// re-added host keeps counting from its last crash.
     epochs: FastMap<HostId, u64>,
     cost: HostCostModel,
+    /// `cost`, prepared for sampling.
+    samplers: ServiceSamplers,
     rng: SimRng,
 }
 
@@ -107,6 +109,7 @@ impl<J: Copy + PartialEq> AgentFleet<J> {
         AgentFleet {
             agents: FastMap::default(),
             epochs: FastMap::default(),
+            samplers: ServiceSamplers::new(&cost),
             cost,
             rng,
         }
@@ -179,7 +182,7 @@ impl<J: Copy + PartialEq> AgentFleet<J> {
         let started = agent
             .queue
             .arrive(now, (primitive, job, service_mod))
-            .map(|adm| Self::to_start(adm, &self.cost, &mut self.rng));
+            .map(|adm| Self::to_start(adm, &self.samplers, &mut self.rng));
         if let Some(s) = &started {
             agent.in_service.push((s.primitive, s.job));
         }
@@ -217,7 +220,7 @@ impl<J: Copy + PartialEq> AgentFleet<J> {
         let started = agent
             .queue
             .complete(now)
-            .map(|adm| Self::to_start(adm, &self.cost, &mut self.rng));
+            .map(|adm| Self::to_start(adm, &self.samplers, &mut self.rng));
         if let Some(s) = &started {
             agent.in_service.push((s.primitive, s.job));
         }
@@ -290,14 +293,14 @@ impl<J: Copy + PartialEq> AgentFleet<J> {
 
     fn to_start(
         adm: cpsim_des::resource::fifo::Admitted<(Primitive, J, ServiceMod)>,
-        cost: &HostCostModel,
+        samplers: &ServiceSamplers,
         rng: &mut SimRng,
     ) -> AgentStart<J> {
         let (primitive, job, service_mod) = adm.job;
         let service = match service_mod.force {
             Some(forced) => forced,
             None => {
-                let sampled = cost.service_dist(primitive).sample(rng);
+                let sampled = samplers.sample(primitive, rng);
                 if service_mod.scale != 1.0 {
                     SimDuration::from_secs_f64(sampled * service_mod.scale)
                 } else {

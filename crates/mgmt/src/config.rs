@@ -1,7 +1,7 @@
 //! Control-plane configuration: resource sizes, admission limits, and the
 //! control-cost model.
 
-use cpsim_des::Dist;
+use cpsim_des::{Dist, Sampler};
 use cpsim_hostagent::{HeartbeatSpec, HostCostModel};
 use serde::{Deserialize, Serialize};
 
@@ -87,6 +87,37 @@ impl Default for ControlCostModel {
             result_processing: ln(0.012, 0.30),
             finalize: ln(0.015, 0.30),
             host_sync: ln(25.0, 0.30),
+        }
+    }
+}
+
+/// A [`ControlCostModel`]'s distributions prepared for sampling (see
+/// [`Dist::sampler`]). The plane builds one at construction and draws
+/// every control-phase cost from it.
+pub(crate) struct CostSamplers {
+    pub api_ingress: Sampler,
+    pub placement_base: Sampler,
+    pub db_task_record: Sampler,
+    pub db_insert: Sampler,
+    pub db_update: Sampler,
+    pub db_delete: Sampler,
+    pub result_processing: Sampler,
+    pub finalize: Sampler,
+    pub host_sync: Sampler,
+}
+
+impl CostSamplers {
+    pub(crate) fn new(m: &ControlCostModel) -> Self {
+        CostSamplers {
+            api_ingress: m.api_ingress.sampler(),
+            placement_base: m.placement_base.sampler(),
+            db_task_record: m.db_task_record.sampler(),
+            db_insert: m.db_insert.sampler(),
+            db_update: m.db_update.sampler(),
+            db_delete: m.db_delete.sampler(),
+            result_processing: m.result_processing.sampler(),
+            finalize: m.finalize.sampler(),
+            host_sync: m.host_sync.sampler(),
         }
     }
 }

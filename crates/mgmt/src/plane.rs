@@ -9,7 +9,7 @@ use std::cell::RefCell;
 
 use cpsim_des::FastMap;
 
-use cpsim_des::{Arrival, FcfsStation, SimDuration, SimRng, SimTime, Streams};
+use cpsim_des::{Arrival, FcfsStation, Sampler, SimDuration, SimRng, SimTime, Streams};
 use cpsim_faults::{FaultKind, RecoveryPolicy};
 use cpsim_hostagent::{AgentFleet, HeartbeatSpec, Primitive, ServiceMod};
 use cpsim_inventory::{
@@ -20,7 +20,7 @@ use cpsim_storage::{StoragePool, TemplateResidency, TransferEngine, TransferId, 
 
 use crate::admission::{AdmissionControl, Scope};
 use crate::beats::{Beat, BeatTrain};
-use crate::config::ControlPlaneConfig;
+use crate::config::{ControlPlaneConfig, CostSamplers};
 use crate::gate::{GateDecision, PlacementGate};
 use crate::op::{CloneMode, OpKind, Operation};
 use crate::placement::Placer;
@@ -181,6 +181,8 @@ impl Stations {
 /// The management server and everything it orchestrates.
 pub struct ControlPlane {
     cfg: ControlPlaneConfig,
+    /// `cfg.cost`, prepared for sampling.
+    costs: CostSamplers,
     inv: Inventory,
     storage: StoragePool,
     residency: TemplateResidency,
@@ -245,6 +247,7 @@ impl ControlPlane {
             faults: None,
             gate: None,
             name_seq: 0,
+            costs: CostSamplers::new(&cfg.cost),
             cfg,
         }
     }
@@ -403,9 +406,9 @@ impl ControlPlane {
         };
         g.sync(now, &mut self.inv);
         self.stats.on_placement_sync();
-        let cpu = Self::sample_cost(&self.cfg.cost.result_processing, &mut self.rng);
+        let cpu = Self::sample_cost(&self.costs.result_processing, &mut self.rng);
         self.enqueue_cpu(now, Owner::Background, "placement-sync", cpu, out);
-        let db = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+        let db = Self::sample_cost(&self.costs.db_update, &mut self.rng);
         self.enqueue_db(now, Owner::Background, "placement-sync", db, out);
     }
 
@@ -771,9 +774,9 @@ impl ControlPlane {
     /// management load (host declared down, or reconnected after one).
     fn charge_resync(&mut self, now: SimTime, out: &mut Vec<Emit>) {
         self.stats.on_resync();
-        let cpu = Self::sample_cost(&self.cfg.cost.host_sync, &mut self.rng);
+        let cpu = Self::sample_cost(&self.costs.host_sync, &mut self.rng);
         self.enqueue_cpu(now, Owner::Background, "host-resync", cpu, out);
-        let db = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+        let db = Self::sample_cost(&self.costs.db_update, &mut self.rng);
         self.enqueue_db(now, Owner::Background, "host-resync", db, out);
     }
 
@@ -1242,9 +1245,9 @@ impl ControlPlane {
     }
 
     /// Samples a cost distribution. An associated function (not a method)
-    /// so call sites can borrow the distribution out of `self.cfg` while
-    /// handing the rng out of `self.rng` — no per-sample `Dist` clone.
-    fn sample_cost(dist: &cpsim_des::Dist, rng: &mut SimRng) -> SimDuration {
+    /// so call sites can borrow the sampler out of `self.costs` while
+    /// handing the rng out of `self.rng`.
+    fn sample_cost(dist: &Sampler, rng: &mut SimRng) -> SimDuration {
         SimDuration::from_secs_f64(dist.sample(rng))
     }
 
@@ -1265,7 +1268,7 @@ impl ControlPlane {
 
         // Shared prelude for every operation.
         if stage == 1 {
-            let d = Self::sample_cost(&self.cfg.cost.api_ingress, &mut self.rng);
+            let d = Self::sample_cost(&self.costs.api_ingress, &mut self.rng);
             return Step::Cpu("api-ingress", d);
         }
         if stage == 2 {
@@ -1273,7 +1276,7 @@ impl ControlPlane {
                 // Batching folds the task record into the first real write.
                 return Step::Continue;
             }
-            let d = Self::sample_cost(&self.cfg.cost.db_task_record, &mut self.rng);
+            let d = Self::sample_cost(&self.costs.db_task_record, &mut self.rng);
             return Step::Db("task-record", d);
         }
 
@@ -1329,7 +1332,7 @@ impl ControlPlane {
 
     fn placement_step(&mut self) -> Step {
         let hosts = self.inv.counts().hosts;
-        let base = Self::sample_cost(&self.cfg.cost.placement_base, &mut self.rng);
+        let base = Self::sample_cost(&self.costs.placement_base, &mut self.rng);
         let per_host =
             SimDuration::from_secs_f64(self.cfg.cost.placement_per_host_us * 1e-6 * hosts as f64);
         Step::Cpu("placement", base + per_host)
@@ -1355,7 +1358,7 @@ impl ControlPlane {
                 Step::Acquire(Scope::global_only().with_host(host).with_datastore(ds))
             }
             5 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_insert, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_insert, &mut self.rng);
                 Step::Db("insert-vm", d)
             }
             6 => {
@@ -1390,15 +1393,15 @@ impl ControlPlane {
             7 => Step::Agent(self.placed_host(tid), Primitive::CreateVmFiles),
             8 => Step::Agent(self.placed_host(tid), Primitive::RegisterVm),
             9 => {
-                let d = Self::sample_cost(&self.cfg.cost.result_processing, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.result_processing, &mut self.rng);
                 Step::Cpu("result-processing", d)
             }
             10 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("finalize-records", d)
             }
             11 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -1418,7 +1421,7 @@ impl ControlPlane {
                 if mode == CloneMode::Instant {
                     // No placement scan: the fork lands on the parent's
                     // host and datastore by construction.
-                    let d = Self::sample_cost(&self.cfg.cost.placement_base, &mut self.rng);
+                    let d = Self::sample_cost(&self.costs.placement_base, &mut self.rng);
                     return Step::Cpu("placement", d);
                 }
                 self.placement_step()
@@ -1508,7 +1511,7 @@ impl ControlPlane {
                 Step::Agent(src_host, prim)
             }
             6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_insert, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_insert, &mut self.rng);
                 Step::Db("insert-vm", d)
             }
             7 => {
@@ -1693,15 +1696,15 @@ impl ControlPlane {
             }
             10 => Step::Agent(self.placed_host(tid), Primitive::RegisterVm),
             11 => {
-                let d = Self::sample_cost(&self.cfg.cost.result_processing, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.result_processing, &mut self.rng);
                 Step::Cpu("result-processing", d)
             }
             12 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("finalize-records", d)
             }
             13 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -1747,11 +1750,11 @@ impl ControlPlane {
                 }
             }
             6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("update-power-state", d)
             }
             7 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -1785,11 +1788,11 @@ impl ControlPlane {
             }
             4 => Step::Agent(self.placed_host(tid), primitive),
             5 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("update-config", d)
             }
             6 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -1837,11 +1840,11 @@ impl ControlPlane {
                 }
             }
             6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("update-snapshot", d)
             }
             7 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -1894,11 +1897,11 @@ impl ControlPlane {
                 }
             }
             6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("update-snapshot", d)
             }
             7 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -1939,15 +1942,15 @@ impl ControlPlane {
                 Step::Continue
             }
             7 => {
-                let d = Self::sample_cost(&self.cfg.cost.result_processing, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.result_processing, &mut self.rng);
                 Step::Cpu("result-processing", d)
             }
             8 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_delete, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_delete, &mut self.rng);
                 Step::Db("delete-records", d)
             }
             9 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -1993,11 +1996,11 @@ impl ControlPlane {
                 }
             }
             8 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("update-placement", d)
             }
             9 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -2083,11 +2086,11 @@ impl ControlPlane {
             }
             6 => Step::Agent(self.placed_host(tid), Primitive::ReconfigureVm),
             7 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("update-placement", d)
             }
             8 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -2137,11 +2140,11 @@ impl ControlPlane {
                 Step::Continue
             }
             6 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_insert, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_insert, &mut self.rng);
                 Step::Db("insert-replica", d)
             }
             7 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -2159,11 +2162,11 @@ impl ControlPlane {
     ) -> Step {
         match stage {
             3 => {
-                let d = Self::sample_cost(&self.cfg.cost.host_sync, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.host_sync, &mut self.rng);
                 Step::Cpu("host-sync", d)
             }
             4 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_insert, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_insert, &mut self.rng);
                 Step::Db("insert-host", d)
             }
             5 => {
@@ -2197,7 +2200,7 @@ impl ControlPlane {
                 Step::Continue
             }
             6 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,
@@ -2225,11 +2228,11 @@ impl ControlPlane {
             }
             4 => Step::Agent(host, Primitive::MountDatastore),
             5 => {
-                let d = Self::sample_cost(&self.cfg.cost.db_update, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.db_update, &mut self.rng);
                 Step::Db("update-storage", d)
             }
             6 => {
-                let d = Self::sample_cost(&self.cfg.cost.finalize, &mut self.rng);
+                let d = Self::sample_cost(&self.costs.finalize, &mut self.rng);
                 Step::Cpu("finalize", d)
             }
             _ => Step::Done,

@@ -1,11 +1,9 @@
 //! Control-plane statistics: per-operation latency distributions with the
 //! control/data split, and phase-level cost accounting.
 
-use cpsim_des::FastMap;
-
 use cpsim_metrics::Histogram;
 
-use crate::task::TaskReport;
+use crate::task::{PhaseClass, TaskReport};
 
 /// Latency and cost distributions for one operation kind.
 #[derive(Clone, Debug, Default)]
@@ -36,22 +34,67 @@ pub struct KindStats {
     pub admission: Histogram,
 }
 
+/// One `(class, label)` phase total of one kind.
+#[derive(Clone, Debug)]
+struct PhaseSlot {
+    class: PhaseClass,
+    label: &'static str,
+    secs: f64,
+    count: u64,
+}
+
+/// One kind's stats and phase totals.
+#[derive(Clone, Debug)]
+struct KindEntry {
+    kind: &'static str,
+    stats: KindStats,
+    /// One slot per distinct `(class, label)`, in first-seen order. A
+    /// kind has a dozen-odd phases, so a linear scan beats hashing the
+    /// label. Labels are string literals: the scan matches them by
+    /// address first and by text only on a miss, because equal literals
+    /// are not guaranteed to share an address (one per codegen unit).
+    phases: Vec<PhaseSlot>,
+}
+
+impl KindEntry {
+    /// Adds `secs` over `count` rows to the `(class, label)` slot,
+    /// opening it at zero if new. Each slot sums in call order.
+    fn add_phase(&mut self, class: PhaseClass, label: &'static str, secs: f64, count: u64) {
+        let phases = &mut self.phases;
+        let found = phases
+            .iter()
+            .position(|p| p.class == class && std::ptr::eq(p.label, label))
+            .or_else(|| {
+                phases
+                    .iter()
+                    .position(|p| p.class == class && p.label == label)
+            });
+        let i = found.unwrap_or_else(|| {
+            phases.push(PhaseSlot {
+                class,
+                label,
+                secs: 0.0,
+                count: 0,
+            });
+            phases.len() - 1
+        });
+        let slot = &mut phases[i];
+        slot.secs += secs;
+        slot.count += count;
+    }
+}
+
 /// Aggregated control-plane statistics.
 #[derive(Clone, Debug, Default)]
 pub struct MgmtStats {
     submitted: u64,
-    /// Per-kind stats, kept sorted by kind name: the dozen-odd kinds make
-    /// a binary-searched vector cheaper than a tree on the per-task
-    /// record path, and iteration order stays deterministic for free.
-    by_kind: Vec<(&'static str, KindStats)>,
-    /// Sum of service seconds by (kind, class, label) — the data behind
-    /// the per-phase cost-breakdown table. Accumulated in a hash map (one
-    /// probe per breakdown row beats a string-tuple tree comparison at
-    /// every node); [`phase_totals`](Self::phase_totals) sorts on access,
-    /// and per-key accumulation order is chronological either way, so the
-    /// emitted totals are bit-identical to the ordered-map ones.
-    // cpsim-lint: allow(no-unordered-iteration): accessor sorts before exposing; per-key += is order-independent
-    phase_totals: FastMap<(&'static str, &'static str, &'static str), (f64, u64)>,
+    /// Per-kind stats and phase totals, kept sorted by kind name: the
+    /// dozen-odd kinds make a binary-searched vector cheaper than a tree
+    /// on the per-task record path, and iteration order stays
+    /// deterministic for free. The phase totals are the data behind the
+    /// per-phase cost-breakdown table; [`phase_totals`](Self::phase_totals)
+    /// sorts them on access.
+    by_kind: Vec<KindEntry>,
     // Fault-injection counters (all zero in fault-free runs).
     retries: u64,
     aborts: u64,
@@ -78,23 +121,27 @@ impl MgmtStats {
     }
 
     /// The entry for `kind`, inserted at its sorted position if new.
-    fn kind_entry<'a>(
-        by_kind: &'a mut Vec<(&'static str, KindStats)>,
-        kind: &'static str,
-    ) -> &'a mut KindStats {
-        let i = match by_kind.binary_search_by_key(&kind, |(k, _)| *k) {
+    fn kind_entry(&mut self, kind: &'static str) -> &mut KindEntry {
+        let by_kind = &mut self.by_kind;
+        let i = match by_kind.binary_search_by_key(&kind, |e| e.kind) {
             Ok(i) => i,
             Err(i) => {
-                by_kind.insert(i, (kind, KindStats::default()));
+                let entry = KindEntry {
+                    kind,
+                    stats: KindStats::default(),
+                    phases: Vec::new(),
+                };
+                by_kind.insert(i, entry);
                 i
             }
         };
-        &mut by_kind[i].1
+        &mut by_kind[i]
     }
 
     /// Records a finished task's report.
     pub fn on_finished(&mut self, report: &TaskReport) {
-        let ks = Self::kind_entry(&mut self.by_kind, report.kind);
+        let entry = self.kind_entry(report.kind);
+        let ks = &mut entry.stats;
         if report.is_success() {
             ks.completed += 1;
         } else {
@@ -110,13 +157,8 @@ impl MgmtStats {
         ks.data.record(report.data_secs);
         ks.queue.record(report.queue_secs);
         ks.admission.record(report.admission_secs);
-        for (class, label, secs) in &report.breakdown {
-            let entry = self
-                .phase_totals
-                .entry((report.kind, class.name(), label))
-                .or_insert((0.0, 0));
-            entry.0 += secs;
-            entry.1 += 1;
+        for &(class, label, secs) in &report.breakdown {
+            entry.add_phase(class, label, secs, 1);
         }
     }
 
@@ -228,25 +270,25 @@ impl MgmtStats {
 
     /// Total completions across kinds.
     pub fn completed(&self) -> u64 {
-        self.by_kind.iter().map(|(_, k)| k.completed).sum()
+        self.by_kind.iter().map(|e| e.stats.completed).sum()
     }
 
     /// Total failures across kinds.
     pub fn failed(&self) -> u64 {
-        self.by_kind.iter().map(|(_, k)| k.failed).sum()
+        self.by_kind.iter().map(|e| e.stats.failed).sum()
     }
 
     /// Stats for one kind, if any tasks of it finished.
     pub fn kind(&self, kind: &str) -> Option<&KindStats> {
         self.by_kind
-            .binary_search_by_key(&kind, |(k, _)| *k)
+            .binary_search_by_key(&kind, |e| e.kind)
             .ok()
-            .map(|i| &self.by_kind[i].1)
+            .map(|i| &self.by_kind[i].stats)
     }
 
     /// Iterates kinds in deterministic order.
     pub fn kinds(&self) -> impl Iterator<Item = (&'static str, &KindStats)> + '_ {
-        self.by_kind.iter().map(|(k, v)| (*k, v))
+        self.by_kind.iter().map(|e| (e.kind, &e.stats))
     }
 
     /// Iterates `(kind, class, label) -> (total_secs, count)` phase totals
@@ -256,9 +298,12 @@ impl MgmtStats {
         &self,
     ) -> impl Iterator<Item = (&'static str, &'static str, &'static str, f64, u64)> + '_ {
         let mut rows: Vec<_> = self
-            .phase_totals
+            .by_kind
             .iter()
-            .map(|(&(k, c, l), &(s, n))| (k, c, l, s, n))
+            .flat_map(|e| {
+                let phases = e.phases.iter();
+                phases.map(move |p| (e.kind, p.class.name(), p.label, p.secs, p.count))
+            })
             .collect();
         rows.sort_unstable_by_key(|&(k, c, l, _, _)| (k, c, l));
         rows.into_iter()
@@ -267,8 +312,12 @@ impl MgmtStats {
     /// Merges another stats object (for multi-run aggregation).
     pub fn merge(&mut self, other: &MgmtStats) {
         self.submitted += other.submitted;
-        for &(kind, ref ks) in &other.by_kind {
-            let mine = Self::kind_entry(&mut self.by_kind, kind);
+        for theirs in &other.by_kind {
+            let entry = self.kind_entry(theirs.kind);
+            for p in &theirs.phases {
+                entry.add_phase(p.class, p.label, p.secs, p.count);
+            }
+            let (mine, ks) = (&mut entry.stats, &theirs.stats);
             mine.completed += ks.completed;
             mine.failed += ks.failed;
             mine.retries += ks.retries;
@@ -281,11 +330,6 @@ impl MgmtStats {
             mine.data.merge(&ks.data);
             mine.queue.merge(&ks.queue);
             mine.admission.merge(&ks.admission);
-        }
-        for (key, (s, n)) in &other.phase_totals {
-            let entry = self.phase_totals.entry(*key).or_insert((0.0, 0));
-            entry.0 += s;
-            entry.1 += n;
         }
         self.retries += other.retries;
         self.aborts += other.aborts;
@@ -303,7 +347,6 @@ impl MgmtStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::PhaseClass;
     use cpsim_des::{SimDuration, SimTime};
 
     fn report(kind: &'static str, latency: f64, data: f64) -> TaskReport {

@@ -107,7 +107,7 @@ impl Task {
             data_secs: 0.0,
             queue_secs: 0.0,
             admission_secs: 0.0,
-            breakdown: Vec::with_capacity(16),
+            breakdown: Vec::new(),
         }
     }
 

@@ -58,7 +58,9 @@ pub struct MgmtStack<H = Forward> {
     pub collect_trace: bool,
     /// The operation trace collected so far.
     pub trace: TraceLog,
-    /// Whether full task reports are kept in `task_reports` (default off).
+    /// Whether full task reports are kept in `task_reports` (default off:
+    /// `trace` holds what the experiments read, and a kept report is a
+    /// second copy of each task).
     pub keep_task_reports: bool,
     /// Full task reports, in completion order.
     pub task_reports: Vec<TaskReport>,

@@ -110,6 +110,11 @@ impl TraceRecord {
         SimTime::from_micros(self.submitted_us)
     }
 
+    /// Completion instant as [`SimTime`].
+    pub fn completed_at(&self) -> SimTime {
+        SimTime::from_micros(self.completed_us)
+    }
+
     /// Control-plane seconds (CPU + DB + agent).
     pub fn control_s(&self) -> f64 {
         self.cpu_s + self.db_s + self.agent_s
