@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
-use cpsim_des::{Dist, EventQueue, SharedBandwidth, SimTime, Streams};
+use cpsim_des::{Dist, EventQueue, SharedBandwidth, SimDuration, SimTime, Streams};
 use cpsim_metrics::Histogram;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -27,6 +27,33 @@ fn bench_event_queue(c: &mut Criterion) {
             });
         });
     }
+    let n = 100_000u64;
+    g.throughput(Throughput::Elements(n));
+    // The run_until pattern: drain in horizon slices with the fused
+    // peek+pop, re-scheduling a fraction (events beget events).
+    g.bench_function("pop-if-before-sliced-drain", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..n {
+                q.schedule(SimTime::from_micros((i * 2_654_435_761) % 1_000_000), i);
+            }
+            let mut processed = 0u64;
+            let mut horizon_us = 0u64;
+            while !q.is_empty() {
+                horizon_us += 50_000;
+                let horizon = SimTime::from_micros(horizon_us);
+                while let Some((t, e)) = q.pop_if_before(horizon) {
+                    processed += 1;
+                    // Every 16th event schedules a short follow-up, as
+                    // management ops do.
+                    if e % 16 == 0 && processed < 2 * n {
+                        q.schedule(t + SimDuration::from_micros(100), e + 1);
+                    }
+                }
+            }
+            black_box(processed)
+        });
+    });
     g.finish();
 }
 

@@ -3,8 +3,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::queue::EventQueue;
 use crate::time::SimTime;
-use crate::wheel::EventQueue;
 
 /// Process-wide tally of events handled by every [`Simulation`], flushed at
 /// the end of each `run_*` call (so the per-event hot path never touches
@@ -52,7 +52,7 @@ pub enum RunOutcome {
 /// Ceiling on `size_of::<M::Event>()`, enforced at compile time by
 /// [`Simulation::new`].
 ///
-/// Every schedule and pop copies the payload through the timer wheel's
+/// Every schedule and pop copies the payload through the event queue's
 /// slab, so event size is pure memcpy weight on the kernel hot path. The
 /// profile showed outsized enum variants (a 64-byte `OpKind::AddHost`
 /// dragging whole event unions along) dominating that cost; boxing the

@@ -4,8 +4,9 @@
 //! workspace builds on:
 //!
 //! - [`SimTime`] / [`SimDuration`]: microsecond-resolution virtual time;
-//! - [`EventQueue`] and [`Simulation`]: a totally-ordered event loop with a
-//!   deterministic tie-break, so a fixed seed always yields the same run;
+//! - [`EventQueue`] and [`Simulation`]: a binary-heap event set and the
+//!   loop that drains it in `(time, seq)` order, a deterministic
+//!   tie-break, so a fixed seed always yields the same run;
 //! - [`rng`]: reproducible, independently-seeded random streams derived from
 //!   one master seed;
 //! - [`Dist`]: a serializable distribution vocabulary used by workload and
@@ -54,18 +55,15 @@ pub mod dist;
 pub mod engine;
 pub mod hash;
 pub mod queue;
-pub mod reference;
 pub mod resource;
 pub mod rng;
 pub mod time;
-pub mod wheel;
 
 pub use dispatch::{dispatch_pos, DispatchPos};
 pub use dist::{Dist, DistError, Sampler};
 pub use engine::{global_events_processed, Model, RunOutcome, Simulation, MAX_EVENT_BYTES};
 pub use hash::{FastMap, FastSet, FxHasher};
-pub use queue::{TimerToken, TokenGen};
-pub use reference::ReferenceQueue;
+pub use queue::EventQueue;
 pub use resource::bandwidth::{SharedBandwidth, TransferDone, TransferPlan};
 pub use resource::fifo::FifoQueue;
 pub use resource::slots::SlotPool;
@@ -73,4 +71,3 @@ pub use resource::station::{Arrival, FcfsStation};
 pub use resource::timeweighted::TimeWeighted;
 pub use rng::{derive_seed, SimRng, Streams};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{EventKey, EventQueue};

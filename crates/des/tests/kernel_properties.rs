@@ -77,62 +77,6 @@ proptest! {
             "moved {moved} vs offered {total}");
     }
 
-    /// The event queue agrees with a stable-sorted reference model under
-    /// arbitrary interleavings of schedules, keyed schedules, horizon
-    /// pops, and cancellations (including cancellations that force
-    /// tombstone compaction).
-    #[test]
-    fn event_queue_matches_reference_under_cancellation(
-        ops in proptest::collection::vec((0u64..2_000, any::<bool>(), 0u8..4), 1..400),
-    ) {
-        let mut q = EventQueue::new();
-        // Reference: (time, insertion index) pairs still pending.
-        let mut reference: Vec<(u64, usize)> = Vec::new();
-        let mut keys = Vec::new();
-        for (i, &(t, keyed, action)) in ops.iter().enumerate() {
-            if keyed {
-                keys.push((q.schedule_keyed(SimTime::from_micros(t), i), t, i));
-            } else {
-                q.schedule(SimTime::from_micros(t), i);
-            }
-            reference.push((t, i));
-            match action {
-                // Cancel the oldest outstanding keyed event.
-                0 if !keys.is_empty() => {
-                    let (k, kt, ki) = keys.remove(0);
-                    if q.cancel(k) {
-                        reference.retain(|&(rt, ri)| (rt, ri) != (kt, ki));
-                    }
-                }
-                // Drain a horizon prefix.
-                1 => {
-                    let horizon = t / 2;
-                    reference.sort(); // stable order == (time, seq) order
-                    while let Some((pt, pi)) = q.pop_if_before(SimTime::from_micros(horizon)) {
-                        prop_assert!(pt.as_micros() <= horizon, "popped event past horizon");
-                        prop_assert!(!reference.is_empty());
-                        let (rt, ri) = reference.remove(0);
-                        prop_assert_eq!((rt, ri), (pt.as_micros(), pi));
-                        keys.retain(|&(_, _, ki)| ki != ri);
-                    }
-                    if let Some(&(rt, _)) = reference.first() {
-                        prop_assert!(rt > horizon, "left an in-horizon event unpopped");
-                    }
-                }
-                _ => {}
-            }
-            prop_assert_eq!(q.live_len(), reference.len());
-            prop_assert_eq!(q.len() - q.tombstoned_len(), q.live_len());
-        }
-        reference.sort();
-        while let Some((pt, pi)) = q.pop() {
-            let (rt, ri) = reference.remove(0);
-            prop_assert_eq!((rt, ri), (pt.as_micros(), pi));
-        }
-        prop_assert!(reference.is_empty());
-        prop_assert_eq!(q.tombstoned_len(), 0);
-    }
-
     /// FIFO queues conserve jobs and never exceed their server count.
     #[test]
     fn fifo_conserves_jobs(ops in proptest::collection::vec(any::<bool>(), 1..200), servers in 1u32..5) {

@@ -33,7 +33,7 @@ use crate::source::SourceFile;
 pub struct GraphConfig {
     /// R7 also flags slice indexing in reachable fns (`--r7-index`):
     /// a strict audit mode, off by default — structurally-validated
-    /// indices are the wheel/queue idiom.
+    /// indices are the event-queue slab idiom.
     pub index_checks: bool,
 }
 

@@ -70,13 +70,11 @@ pub const HARNESS_DIRS: &[&str] = &["crates/bench/src", "src", "examples"];
 /// silently cover less than the old list did. `--hot` single-file scans
 /// (R5) still work for fixtures and ad-hoc audits.
 ///
-/// Re-audit note: `crates/des/src/queue.rs` was dropped from the list.
-/// The graph proves its `TokenGen`/`TimerToken` pair has no non-test
-/// callers anywhere in the workspace (the wheel took over cancellation),
-/// so keeping it would make the floor assert on vacuously-cold code.
+/// `crates/des/src/queue.rs` holds the event queue, whose schedule/pop
+/// surface is a declared entry point.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/des/src/engine.rs",
-    "crates/des/src/wheel.rs",
+    "crates/des/src/queue.rs",
     "crates/federation/src/runner.rs",
     "crates/federation/src/turnstile.rs",
     "crates/mgmt/src/admission.rs",

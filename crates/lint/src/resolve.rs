@@ -92,17 +92,15 @@ pub fn resolve_calls(g: &mut SymbolGraph) {
 /// A hot-path entry point: `(self_ty, fn_name)`, `None` for free fns.
 pub type EntrySpec = (Option<&'static str>, &'static str);
 
-/// The declared hot entry points R7 computes its closure from: the timer
-/// wheel's insert/cancel/pop surface, the federation turnstile, the
+/// The declared hot entry points R7 computes its closure from: the event
+/// queue's schedule/pop surface, the federation turnstile, the
 /// threaded runner, placement, the admission drain, and the heartbeat
 /// replay with its lazy station arrivals. These replace the
 /// PR-4-era hand-maintained hot-file list — reachability, not file
 /// membership, now decides what "hot path" means.
 pub const HOT_ENTRY_POINTS: &[EntrySpec] = &[
-    // DES timer wheel (crates/des/src/wheel.rs).
+    // DES event queue (crates/des/src/queue.rs).
     (Some("EventQueue"), "schedule"),
-    (Some("EventQueue"), "schedule_keyed"),
-    (Some("EventQueue"), "cancel"),
     (Some("EventQueue"), "pop"),
     (Some("EventQueue"), "pop_if_before"),
     // Federation turnstile (crates/federation/src/turnstile.rs).

@@ -122,7 +122,7 @@ impl RuleId {
                 "library crates must not print: output flows through metrics tables and the bench harness"
             }
             RuleId::PanicReachability => {
-                "no panic/unwrap may be reachable from a hot entry point (wheel, turnstile, runner, placement, admission, heartbeat replay) through any call chain"
+                "no panic/unwrap may be reachable from a hot entry point (event queue, turnstile, runner, placement, admission, heartbeat replay) through any call chain"
             }
             RuleId::RngStreamDiscipline => {
                 "RNG values must flow from named derive/substream constructors: no stream clones, literal re-seeding, or shared RNG cells"
@@ -376,8 +376,8 @@ pub(crate) fn panic_sites(file: &SourceFile, start: usize, end: usize) -> Vec<(u
 
 /// Slice/array indexing sites in `[start, end)`: `expr[...]` where the
 /// `[` follows an identifier, `)`, or `]`. Opt-in for R7 (`--r7-index`):
-/// structurally-validated indices are the wheel/queue idiom, so this is a
-/// strict audit mode rather than a default gate.
+/// structurally-validated indices are the event-queue slab idiom, so this
+/// is a strict audit mode rather than a default gate.
 pub(crate) fn indexing_sites(file: &SourceFile, start: usize, end: usize) -> Vec<(usize, String)> {
     let cb = file.code.as_bytes();
     let mut out = Vec::new();

@@ -1,28 +1,27 @@
-//! Kernel event-queue properties: the hierarchical timer wheel
-//! ([`EventQueue`]) must be observationally identical to the four-ary
-//! heap it replaced ([`ReferenceQueue`], kept as the oracle) under any
-//! interleaving of schedules, keyed cancels, and pops — including
-//! entries that cross bucket boundaries, cascade down levels, and round
-//! trip through the overflow heap.
+//! Kernel event-queue properties: [`EventQueue`] must pop exactly what a
+//! sorted `(time, insertion index)` model pops, under any interleaving of
+//! schedules, pops and horizon-bounded pops, at time scales from 1 µs to
+//! past 2^42 µs and with same-instant ties, and every pop must record its
+//! `(time, seq, next_seq)` as this thread's [`dispatch_pos`].
 
-use cpsim_des::{EventQueue, ReferenceQueue, SimTime};
+use cpsim_des::{dispatch_pos, EventQueue, SimTime};
 use proptest::prelude::*;
 
-/// One scripted queue operation, interpreted identically on both queues.
+/// One scripted queue operation, applied to the queue and the model.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Schedule at `base_scale * mult + off` µs, keyed.
+    /// Schedule at `SCALES[scale] * mult + off` µs.
     Schedule { scale: u8, mult: u64, off: u64 },
-    /// Cancel the `i % outstanding`-th still-tracked key (both queues
-    /// agree on the index ↔ key mapping, so the same logical event dies).
-    Cancel { i: usize },
-    /// Pop up to `n` events, comparing the streams element-wise.
+    /// Schedule `n` more events at the last scheduled instant.
+    Tie { n: usize },
+    /// Pop up to `n` events.
     Pop { n: usize },
+    /// Pop every event at or before `SCALES[scale] * mult + off` µs.
+    PopIfBefore { scale: u8, mult: u64, off: u64 },
 }
 
-/// Time scales that land on and around every structural boundary: within
-/// a level-0 bucket, across the level-0/1 and higher cascade boundaries
-/// (64^k µs), and past the wheel span into the overflow heap (2^42 µs).
+/// Time scales from within one microsecond-wide step up to and past
+/// 2^42 µs (~51 simulated days), the far-future range.
 const SCALES: &[u64] = &[
     1,
     64,
@@ -34,17 +33,72 @@ const SCALES: &[u64] = &[
     1 << 42,
 ];
 
+fn micros(scale: u8, mult: u64, off: u64) -> u64 {
+    SCALES[scale as usize].saturating_mul(mult) + off
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let schedule = (0u8..SCALES.len() as u8, 0u64..6, 0u64..130)
+    let time = (0u8..SCALES.len() as u8, 0u64..6, 0u64..130);
+    let schedule = time
+        .clone()
         .prop_map(|(scale, mult, off)| Op::Schedule { scale, mult, off });
     // The schedule arm appears twice: biasing toward schedules keeps the
-    // queues populated so cancels and pops have entries to chew on.
+    // queue populated so pops have entries to chew on.
     prop_oneof![
         schedule.clone(),
         schedule,
-        (0usize..1024).prop_map(|i| Op::Cancel { i }),
+        (1usize..4).prop_map(|n| Op::Tie { n }),
         (1usize..40).prop_map(|n| Op::Pop { n }),
+        time.prop_map(|(scale, mult, off)| Op::PopIfBefore { scale, mult, off }),
     ]
+}
+
+/// The queue under test next to its model, which holds the pending
+/// `(time µs, insertion index)` pairs in ascending order.
+struct Pair {
+    queue: EventQueue<usize>,
+    model: Vec<(u64, usize)>,
+    scheduled: usize,
+}
+
+impl Pair {
+    fn schedule(&mut self, t: u64) {
+        let i = self.scheduled;
+        self.queue.schedule(SimTime::from_micros(t), i);
+        let at = self.model.partition_point(|&(mt, _)| mt <= t);
+        self.model.insert(at, (t, i));
+        self.scheduled += 1;
+    }
+
+    /// Pops from both: with `pop` when `horizon` is `None`, else with
+    /// `pop_if_before(horizon)`. Checks the queue agreed with the model
+    /// and recorded the pop as its dispatch position; returns whether an
+    /// event was popped.
+    fn pop(&mut self, horizon: Option<u64>) -> bool {
+        assert_eq!(self.queue.len(), self.model.len());
+        assert_eq!(
+            self.queue.next_time(),
+            self.model.first().map(|&(t, _)| SimTime::from_micros(t))
+        );
+        let got = match horizon {
+            None => self.queue.pop(),
+            Some(h) => self.queue.pop_if_before(SimTime::from_micros(h)),
+        };
+        let want = match self.model.first() {
+            Some(&(t, _)) if t <= horizon.unwrap_or(u64::MAX) => Some(self.model.remove(0)),
+            _ => None,
+        };
+        assert_eq!(got.map(|(t, i)| (t.as_micros(), i)), want);
+        if let Some((t, i)) = want {
+            let pos = dispatch_pos();
+            assert_eq!(
+                (pos.time, pos.seq, pos.next_seq),
+                (SimTime::from_micros(t), i as u64, self.scheduled as u64),
+                "pop did not record its dispatch position"
+            );
+        }
+        want.is_some()
+    }
 }
 
 proptest! {
@@ -54,107 +108,41 @@ proptest! {
     })]
 
     #[test]
-    fn wheel_equals_heap_under_schedule_cancel_pop_churn(
-        ops in proptest::collection::vec(op_strategy(), 1..120),
+    fn event_queue_matches_sorted_model_under_schedule_pop_churn(
+        ops in proptest::collection::vec(op_strategy(), 1..160),
     ) {
-        let mut wheel = EventQueue::new();
-        let mut heap = ReferenceQueue::new();
-        // Parallel key tracking: index i holds the same logical event's
-        // key in each queue.
-        let mut wheel_keys = Vec::new();
-        let mut heap_keys = Vec::new();
-        let mut payload = 0u64;
+        let mut pair = Pair { queue: EventQueue::new(), model: Vec::new(), scheduled: 0 };
+        let mut last = 0;
         for op in &ops {
             match *op {
                 Op::Schedule { scale, mult, off } => {
-                    let t = SimTime::from_micros(
-                        SCALES[scale as usize].saturating_mul(mult) + off,
-                    );
-                    wheel_keys.push(wheel.schedule_keyed(t, payload));
-                    heap_keys.push(heap.schedule_keyed(t, payload));
-                    payload += 1;
+                    last = micros(scale, mult, off);
+                    pair.schedule(last);
                 }
-                Op::Cancel { i } => {
-                    if !wheel_keys.is_empty() {
-                        let i = i % wheel_keys.len();
-                        let a = wheel.cancel(wheel_keys.swap_remove(i));
-                        let b = heap.cancel(heap_keys.swap_remove(i));
-                        prop_assert_eq!(a, b, "cancel liveness diverged");
+                Op::Tie { n } => {
+                    for _ in 0..n {
+                        pair.schedule(last);
                     }
                 }
                 Op::Pop { n } => {
                     for _ in 0..n {
-                        prop_assert_eq!(wheel.next_time(), heap.next_time());
-                        let a = wheel.pop();
-                        let b = heap.pop();
-                        prop_assert_eq!(a, b, "pop streams diverged");
-                        if a.is_none() {
+                        if !pair.pop(None) {
                             break;
                         }
                     }
                 }
+                Op::PopIfBefore { scale, mult, off } => {
+                    let horizon = micros(scale, mult, off);
+                    while pair.pop(Some(horizon)) {}
+                    if let Some(&(t, _)) = pair.model.first() {
+                        prop_assert!(t > horizon, "left an in-horizon event unpopped");
+                    }
+                }
             }
-            prop_assert_eq!(wheel.live_len(), heap.live_len());
-            prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+            prop_assert_eq!(pair.queue.is_empty(), pair.model.is_empty());
         }
-        // Drain both to the end: every remaining event must agree.
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-}
-
-/// Regression: cancelling an event whose timestamp sits *exactly* on a
-/// cascade boundary (a multiple of 64^k µs, where it waits in a level-k
-/// bucket until the cursor reaches the boundary and cascades it down).
-/// The tombstone must ride the cascade and be discarded when it
-/// surfaces — without perturbing the order of its boundary neighbors.
-#[test]
-fn cancel_exactly_on_cascade_boundary_is_discarded_in_order() {
-    // Every level boundary of the 64-slot wheel, plus the wheel-span
-    // boundary where the entry starts out in the overflow heap.
-    for boundary in [64u64, 4_096, 262_144, 1 << 24, 1 << 42] {
-        let mut q = EventQueue::new();
-        let mut r = ReferenceQueue::new();
-        let mut q_cancel = Vec::new();
-        let mut r_cancel = Vec::new();
-        // Neighbors straddling the boundary, the boundary event itself
-        // (to be cancelled), and a same-time survivor scheduled later —
-        // the cancelled entry and the survivor share a bucket, so the
-        // discard must not disturb FIFO order within it.
-        for t in [1, boundary - 1, boundary, boundary + 1, boundary] {
-            if t == boundary {
-                q_cancel.push(q.schedule_keyed(SimTime::from_micros(t), t));
-                r_cancel.push(r.schedule_keyed(SimTime::from_micros(t), t));
-            } else {
-                q.schedule(SimTime::from_micros(t), t);
-                r.schedule(SimTime::from_micros(t), t);
-            }
-        }
-        // Cancel the *first* boundary event; the second (same time,
-        // later seq) must still fire.
-        assert!(q.cancel(q_cancel[0]), "boundary {boundary}: key was live");
-        assert!(r.cancel(r_cancel[0]));
-        // Pop one event so the cursor starts advancing toward the
-        // boundary, then cancel nothing else and drain.
-        let mut popped = Vec::new();
-        while let Some((t, e)) = q.pop() {
-            let (rt, re) = r.pop().expect("reference agrees on length");
-            assert_eq!((t, e), (rt, re), "boundary {boundary} diverged");
-            popped.push(e);
-        }
-        assert_eq!(r.pop(), None);
-        assert_eq!(
-            popped,
-            vec![1, boundary - 1, boundary, boundary + 1],
-            "boundary {boundary}: cancelled entry leaked or survivor lost"
-        );
-        assert!(q.is_empty());
-        assert_eq!(q.tombstoned_len(), 0, "tombstone was discarded");
+        // Drain to the end: every remaining event must agree.
+        while pair.pop(None) {}
+        prop_assert!(pair.queue.is_empty());
     }
 }
