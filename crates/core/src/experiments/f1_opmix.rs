@@ -10,7 +10,7 @@ use cpsim_des::SimTime;
 use cpsim_metrics::Table;
 use cpsim_workload::TraceAnalysis;
 
-use crate::experiments::loops::profile_sweep;
+use crate::experiments::loops::{debug_assert_tasks_conserved, profile_sweep};
 use crate::experiments::{fmt, ExpOptions};
 use crate::Scenario;
 
@@ -34,6 +34,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let analyses: Vec<(String, TraceAnalysis)> = profile_sweep(opts, |p| {
         let mut sim = Scenario::from_profile(p).seed(opts.seed).build();
         sim.run_until(SimTime::from_hours(hours));
+        debug_assert_tasks_conserved(sim.plane(), sim.trace());
         (p.name.clone(), sim.analyze_trace())
     });
 

@@ -8,7 +8,7 @@
 use cpsim_des::SimTime;
 use cpsim_metrics::Table;
 
-use crate::experiments::loops::profile_sweep;
+use crate::experiments::loops::{debug_assert_tasks_conserved, profile_sweep};
 use crate::experiments::{fmt, ExpOptions};
 use crate::Scenario;
 
@@ -33,6 +33,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let rows = profile_sweep(opts, |profile| {
         let mut sim = Scenario::from_profile(profile).seed(opts.seed).build();
         sim.run_until(SimTime::from_hours(hours));
+        debug_assert_tasks_conserved(sim.plane(), sim.trace());
         let mut a = sim.analyze_trace();
         let mut row = vec![profile.name.clone(), a.lifetimes_hours.count().to_string()];
         if a.lifetimes_hours.is_empty() {

@@ -14,7 +14,7 @@ use cpsim_metrics::Table;
 use cpsim_mgmt::CloneMode;
 use cpsim_workload::Topology;
 
-use crate::experiments::loops::sweep;
+use crate::experiments::loops::{debug_assert_tasks_conserved, sweep};
 use crate::experiments::{fmt, ExpOptions};
 use crate::{CloudSim, Scenario};
 
@@ -144,6 +144,7 @@ fn rebalance_row(seed: u64, n: u32) -> [String; 5] {
         },
     );
     sim.run_until(SimTime::from_hours(12));
+    debug_assert_tasks_conserved(sim.plane(), sim.trace());
     let report = sim
         .cloud_reports()
         .iter()
@@ -185,6 +186,7 @@ fn redistribute_idle(seed: u64, datastores: u32) -> f64 {
         CloudRequest::RedistributeTemplate { template },
     );
     sim.run_until(SimTime::from_hours(12));
+    debug_assert_tasks_conserved(sim.plane(), sim.trace());
     let r = sim
         .cloud_reports()
         .iter()
@@ -224,6 +226,7 @@ fn redistribute_loaded(seed: u64, datastores: u32) -> (f64, f64, f64) {
     }
     sim.schedule_request(kickoff, CloudRequest::RedistributeTemplate { template });
     sim.run_until(horizon);
+    debug_assert_tasks_conserved(sim.plane(), sim.trace());
     let r = sim
         .cloud_reports()
         .iter()

@@ -73,9 +73,9 @@ pub fn load_policy() -> ProvisioningPolicy {
 
 /// End-of-run task conservation on one plane, checked in debug builds:
 /// every finished task was traced once, and every submitted task has
-/// finished or is still in flight. The load loops read their results
+/// finished or is still in flight. The experiments read their results
 /// from the trace, so a lost or doubled record would skew them silently.
-fn debug_assert_tasks_conserved(plane: &ControlPlane, trace: &TraceLog) {
+pub(crate) fn debug_assert_tasks_conserved(plane: &ControlPlane, trace: &TraceLog) {
     let stats = plane.stats();
     debug_assert_eq!(
         trace.len() as u64,

@@ -7,6 +7,7 @@ use cpsim_des::{SimDuration, SimTime};
 use cpsim_mgmt::{CloneMode, OpKind};
 use cpsim_workload::{Topology, TraceRecord};
 
+use crate::experiments::loops::debug_assert_tasks_conserved;
 use crate::experiments::ExpOptions;
 use crate::{CloudSim, Scenario};
 
@@ -115,6 +116,7 @@ pub fn run_probe(opts: &ExpOptions) -> CloudSim {
         0,
         "probe must quiesce before measurement"
     );
+    debug_assert_tasks_conserved(sim.plane(), sim.trace());
     sim
 }
 

@@ -10,7 +10,7 @@ use cpsim_des::SimTime;
 use cpsim_metrics::Table;
 use cpsim_workload::Profile;
 
-use crate::experiments::loops::profile_sweep;
+use crate::experiments::loops::{debug_assert_tasks_conserved, profile_sweep};
 use crate::experiments::{fmt, ExpOptions};
 use crate::Scenario;
 
@@ -46,6 +46,7 @@ fn profile_row(profile: &Profile, hours: u64, seed: u64) -> Vec<String> {
         sim.run_until(SimTime::from_hours(h));
         peak_vms = peak_vms.max(sim.plane().inventory().counts().vms);
     }
+    debug_assert_tasks_conserved(sim.plane(), sim.trace());
     let a = sim.analyze_trace();
     vec![
         profile.name.clone(),

@@ -6,7 +6,7 @@ use crate::entities::{
     Datastore, DatastoreSpec, Host, HostSpec, HostState, PowerState, Vm, VmSpec,
 };
 use crate::error::InventoryError;
-use crate::ids::{DatastoreId, HostId, VmId};
+use crate::ids::{DatastoreId, EntityId, HostId, VmId};
 use crate::index::{OrdF64, PlacementIndex};
 
 /// Entity counts, used for heartbeat-load and placement-cost models that
@@ -416,22 +416,14 @@ impl Inventory {
     /// Verifies internal accounting invariants; used by tests and debug
     /// assertions. Returns a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut on = 0;
-        let mut templ = 0;
+        let (mut on, mut templ, mut slots) = (0, 0, 0);
         for (id, vm) in self.vms.iter() {
-            if vm.power == PowerState::On {
-                on += 1;
-            }
-            if vm.is_template {
-                templ += 1;
-            }
-            let host = self
-                .hosts
+            on += usize::from(vm.power == PowerState::On);
+            templ += usize::from(vm.is_template);
+            self.hosts
                 .get(vm.host)
                 .ok_or_else(|| format!("vm {id} registered on missing host {}", vm.host))?;
-            if !host.vms.contains(&id) {
-                return Err(format!("host {} does not list vm {id}", vm.host));
-            }
+            slots = id.index() as usize + 1;
         }
         if on != self.powered_on {
             return Err(format!(
@@ -445,20 +437,41 @@ impl Inventory {
                 self.templates, templ
             ));
         }
+        // Every listing is a distinct live VM placed on the listing host,
+        // and the listings number the live VMs: so each VM is listed
+        // exactly once, by its own host. One pass, O(VMs).
+        let mut listed = vec![false; slots];
+        let mut listings = 0;
         for (hid, host) in self.hosts.iter() {
-            let mem: u64 = host
-                .vms
-                .iter()
-                .filter_map(|v| self.vms.get(*v))
-                .filter(|v| v.power == PowerState::On)
-                .map(|v| v.spec.mem_mb)
-                .sum();
+            let mut mem = 0;
+            for &id in &host.vms {
+                let vm = self
+                    .vms
+                    .get(id)
+                    .filter(|vm| vm.host == hid)
+                    .ok_or_else(|| {
+                        format!("host {hid} lists vm {id}, which is not placed on it")
+                    })?;
+                if std::mem::replace(&mut listed[id.index() as usize], true) {
+                    return Err(format!("vm {id} is listed twice"));
+                }
+                if vm.power == PowerState::On {
+                    mem += vm.spec.mem_mb;
+                }
+            }
+            listings += host.vms.len();
             if mem != host.mem_used_mb {
                 return Err(format!(
                     "host {hid} mem accounting {} != sum of powered-on VMs {mem}",
                     host.mem_used_mb
                 ));
             }
+        }
+        if listings != self.vms.len() {
+            return Err(format!(
+                "hosts list {listings} vms != {} live vms",
+                self.vms.len()
+            ));
         }
         self.check_index_invariants()
     }
@@ -653,5 +666,68 @@ mod tests {
         inv.destroy_vm(vm).unwrap();
         assert_eq!(inv.power_on(vm), Err(InventoryError::UnknownVm(vm)));
         assert_eq!(inv.vm_checked(vm), Err(InventoryError::UnknownVm(vm)));
+    }
+
+    /// Each seeded corruption must make `check_invariants` fail; the
+    /// uncorrupted inventory passes.
+    #[test]
+    fn invariant_check_catches_each_corruption() {
+        let mut inv = Inventory::new();
+        let ds = inv.add_datastore(DatastoreSpec::new("ds0", 1000.0, 200.0));
+        let unconnected = inv.add_datastore(DatastoreSpec::new("ds1", 1000.0, 200.0));
+        let (h0, h1) = (
+            inv.add_host(HostSpec::new("h0", 20_000, 65_536)),
+            inv.add_host(HostSpec::new("h1", 20_000, 65_536)),
+        );
+        inv.connect_host_datastore(h0, ds).unwrap();
+        inv.connect_host_datastore(h1, ds).unwrap();
+        let spec = VmSpec::new(1, 1024, 10.0);
+        let a = inv.create_vm("a", spec, h0, ds).unwrap();
+        let b = inv.create_vm("b", spec, h0, ds).unwrap();
+        let t = inv.create_vm("t", spec, h0, ds).unwrap();
+        let c = inv.create_vm("c", spec, h1, ds).unwrap();
+        inv.power_on(a).unwrap();
+        inv.mark_template(t).unwrap();
+        let gone = inv.create_vm("gone", spec, h0, ds).unwrap();
+        inv.destroy_vm(gone).unwrap();
+        inv.check_invariants().unwrap();
+
+        fn host(inv: &mut Inventory, h: HostId) -> &mut Host {
+            inv.hosts.get_mut(h).unwrap()
+        }
+        let fires = |what: &str, corrupt: &dyn Fn(&mut Inventory)| {
+            let mut bad = inv.clone();
+            corrupt(&mut bad);
+            assert!(bad.check_invariants().is_err(), "{what} went unnoticed");
+        };
+        // Each of the first three passes every other check: host list
+        // lengths, memory and the index stay consistent.
+        fires("unlisted vm", &|inv| {
+            host(inv, h0).vms.retain(|&v| v != b);
+            inv.reindex_host(h0);
+        });
+        fires("foreign listing", &|inv| {
+            host(inv, h0).vms = vec![a, c, t];
+            host(inv, h1).vms = vec![b];
+        });
+        fires("duplicate listing", &|inv| {
+            host(inv, h0).vms = vec![a, t, t]
+        });
+        fires("stale listing", &|inv| host(inv, h0).vms.push(gone));
+        fires("missing host", &|inv| {
+            inv.vms.get_mut(b).unwrap().host = HostId::from_parts(9, 1);
+        });
+        fires("memory", &|inv| host(inv, h0).mem_used_mb += 1);
+        fires("powered_on counter", &|inv| inv.powered_on += 1);
+        fires("templates counter", &|inv| inv.templates -= 1);
+        fires("datastore index key", &|inv| {
+            inv.datastores.get_mut(ds).unwrap().used_gb += 1.0;
+        });
+        fires("host index key", &|inv| {
+            inv.index.host_load_changed(h1, (OrdF64(0.5), 0), &[]);
+        });
+        fires("connection index", &|inv| {
+            inv.index.connected(h1, unconnected);
+        });
     }
 }

@@ -6,8 +6,8 @@
 //! - **R7 panic-reachability**: BFS closure from the declared hot entry
 //!   points ([`crate::resolve::HOT_ENTRY_POINTS`]); any panic-capable site
 //!   in a reachable fn body is a violation, whatever crate it lives in.
-//!   This replaces the PR-4 hand-maintained `HOT_PATH_FILES` list —
-//!   reachability, not file membership, decides what "hot" means.
+//!   Reachability, not membership in a hand-kept file list, decides
+//!   what "hot" means.
 //! - **R8 RNG stream discipline**: raw seeding constructors are confined
 //!   to the stream-source module (`impl Streams`), streams may not be
 //!   cloned, `Streams::new(<literal>)` is confined to scenario builders,

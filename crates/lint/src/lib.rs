@@ -60,28 +60,6 @@ pub const SIM_CRATES: &[&str] = &[
 /// Directories checked under the looser harness profile (workspace-relative).
 pub const HARNESS_DIRS: &[&str] = &["crates/bench/src", "src", "examples"];
 
-/// The PR-4-era hand-maintained hot-path file list.
-///
-/// Workspace scans no longer consult it: R7 (`panic-reachability`) computes
-/// the hot set as the call-graph closure of
-/// [`resolve::HOT_ENTRY_POINTS`]. The list is retained as a *regression
-/// floor* — the selfcheck suite asserts every file named here still
-/// contains a fn inside R7's computed closure, so the graph can never
-/// silently cover less than the old list did. `--hot` single-file scans
-/// (R5) still work for fixtures and ad-hoc audits.
-///
-/// `crates/des/src/queue.rs` holds the event queue, whose schedule/pop
-/// surface is a declared entry point.
-pub const HOT_PATH_FILES: &[&str] = &[
-    "crates/des/src/engine.rs",
-    "crates/des/src/queue.rs",
-    "crates/federation/src/runner.rs",
-    "crates/federation/src/turnstile.rs",
-    "crates/mgmt/src/admission.rs",
-    "crates/mgmt/src/placement.rs",
-    "crates/mgmt/src/plane.rs",
-];
-
 /// How a file's profile directive is policed during a workspace scan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProfilePolicy {
@@ -105,7 +83,6 @@ pub fn scan_source(
     src: &SourceFile,
     default_profile: Profile,
     policy: ProfilePolicy,
-    hot_path: bool,
     enabled: &[RuleId],
     extra: &[(RuleId, rules::RawViolation)],
 ) -> FileReport {
@@ -206,7 +183,7 @@ pub fn scan_source(
         }
     };
     for &rule in enabled {
-        if rule == RuleId::LintDirective || !rule.applies(profile, hot_path) {
+        if rule == RuleId::LintDirective || !rule.applies(profile) {
             continue;
         }
         for raw in rules::check(src, rule) {
@@ -214,7 +191,7 @@ pub fn scan_source(
         }
     }
     for (rule, raw) in extra {
-        if !enabled.contains(rule) || !rule.applies(profile, hot_path) {
+        if !enabled.contains(rule) || !rule.applies(profile) {
             continue;
         }
         consider(
@@ -231,7 +208,6 @@ pub fn scan_source(
     FileReport {
         path: src.rel.clone(),
         profile,
-        hot_path,
         violations,
         suppressed,
     }
@@ -254,7 +230,6 @@ fn is_suppressed(src: &SourceFile, rule: RuleId, line: usize) -> bool {
 pub fn scan_path(
     path: &Path,
     default_profile: Profile,
-    hot_path: bool,
     enabled: &[RuleId],
 ) -> io::Result<FileReport> {
     let text = std::fs::read_to_string(path)?;
@@ -264,7 +239,6 @@ pub fn scan_path(
         &src,
         default_profile,
         ProfilePolicy::Honor,
-        hot_path,
         enabled,
         &[],
     ))
@@ -276,7 +250,6 @@ pub fn scan_path(
 pub fn scan_files(
     paths: &[PathBuf],
     default_profile: Profile,
-    hot_path: bool,
     enabled: &[RuleId],
     cfg: &graph_rules::GraphConfig,
 ) -> io::Result<Vec<FileReport>> {
@@ -292,16 +265,7 @@ pub fn scan_files(
     Ok(srcs
         .iter()
         .zip(extras.iter())
-        .map(|(src, extra)| {
-            scan_source(
-                src,
-                default_profile,
-                ProfilePolicy::Honor,
-                hot_path,
-                enabled,
-                extra,
-            )
-        })
+        .map(|(src, extra)| scan_source(src, default_profile, ProfilePolicy::Honor, enabled, extra))
         .collect())
 }
 
@@ -412,7 +376,7 @@ pub fn run_workspace_with(
     let files = loaded
         .iter()
         .zip(extras.iter())
-        .map(|(f, extra)| scan_source(&f.src, f.profile, f.policy, false, enabled, extra))
+        .map(|(f, extra)| scan_source(&f.src, f.profile, f.policy, enabled, extra))
         .collect();
     Ok(Report {
         root: root.to_path_buf(),

@@ -34,8 +34,6 @@ pub struct FileReport {
     pub path: String,
     /// Profile the file was checked under.
     pub profile: Profile,
-    /// Whether `no-panic-hot-path` applied to this file.
-    pub hot_path: bool,
     /// Unsuppressed violations (these fail the check).
     pub violations: Vec<Violation>,
     /// Hits waived by an in-place `allow(...)` with a reason.
@@ -118,10 +116,9 @@ impl Report {
         for (fi, f) in self.files.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"path\": {}, \"profile\": {}, \"hot_path\": {}, \"violations\": [",
+                "    {{\"path\": {}, \"profile\": {}, \"violations\": [",
                 json_str(&f.path),
                 json_str(f.profile.name()),
-                f.hot_path
             );
             render_violations(&mut out, &f.violations);
             out.push_str("], \"suppressed\": [");

@@ -14,22 +14,16 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn scan(name: &str, profile: Profile, hot: bool) -> FileReport {
-    scan_path(&fixture(name), profile, hot, ALL_RULES).expect("fixture file readable")
+fn scan(name: &str, profile: Profile) -> FileReport {
+    scan_path(&fixture(name), profile, ALL_RULES).expect("fixture file readable")
 }
 
 /// Scans a fixture *set* as one unit so the graph rules (R7–R9) see the
 /// cross-file call chains. Reports come back in `names` order.
 fn scan_set(names: &[&str]) -> Vec<FileReport> {
     let paths: Vec<PathBuf> = names.iter().map(|n| fixture(n)).collect();
-    scan_files(
-        &paths,
-        Profile::Sim,
-        false,
-        ALL_RULES,
-        &GraphConfig::default(),
-    )
-    .expect("fixture files readable")
+    scan_files(&paths, Profile::Sim, ALL_RULES, &GraphConfig::default())
+        .expect("fixture files readable")
 }
 
 fn count(report: &FileReport, rule: RuleId) -> usize {
@@ -42,7 +36,7 @@ fn count_suppressed(report: &FileReport, rule: RuleId) -> usize {
 
 #[test]
 fn r1_fires_on_wall_clock_and_skips_sim_variants() {
-    let r = scan("r1_wall_clock.rs", Profile::Sim, false);
+    let r = scan("r1_wall_clock.rs", Profile::Sim);
     // Instant::now + SystemTime + UNIX_EPOCH; CloneMode::Instant and the
     // string/comment mentions must not fire.
     assert_eq!(count(&r, RuleId::NoWallClock), 3, "{:?}", r.violations);
@@ -51,7 +45,7 @@ fn r1_fires_on_wall_clock_and_skips_sim_variants() {
 
 #[test]
 fn r1_suppression_holds_in_both_positions() {
-    let r = scan("r1_suppressed.rs", Profile::Sim, false);
+    let r = scan("r1_suppressed.rs", Profile::Sim);
     assert_eq!(count(&r, RuleId::NoWallClock), 0, "{:?}", r.violations);
     // Line-above and same-line forms both count as suppressed hits.
     assert_eq!(count_suppressed(&r, RuleId::NoWallClock), 2);
@@ -60,14 +54,14 @@ fn r1_suppression_holds_in_both_positions() {
 
 #[test]
 fn r2_fires_on_ambient_rng_only() {
-    let r = scan("r2_ambient_rng.rs", Profile::Sim, false);
+    let r = scan("r2_ambient_rng.rs", Profile::Sim);
     // thread_rng + from_entropy + OsRng; seed_from_u64 must not fire.
     assert_eq!(count(&r, RuleId::NoAmbientRng), 3, "{:?}", r.violations);
 }
 
 #[test]
 fn r3_fires_on_unordered_collections_only() {
-    let r = scan("r3_unordered.rs", Profile::Sim, false);
+    let r = scan("r3_unordered.rs", Profile::Sim);
     // use HashMap + field HashMap + field HashSet; BTreeMap/Vec are fine.
     assert_eq!(
         count(&r, RuleId::NoUnorderedIteration),
@@ -79,7 +73,7 @@ fn r3_fires_on_unordered_collections_only() {
 
 #[test]
 fn r3_suppression_holds() {
-    let r = scan("r3_suppressed.rs", Profile::Sim, false);
+    let r = scan("r3_suppressed.rs", Profile::Sim);
     assert_eq!(
         count(&r, RuleId::NoUnorderedIteration),
         0,
@@ -91,43 +85,15 @@ fn r3_suppression_holds() {
 
 #[test]
 fn r4_fires_on_calls_but_not_trait_impls() {
-    let r = scan("r4_float_ord.rs", Profile::Sim, false);
+    let r = scan("r4_float_ord.rs", Profile::Sim);
     // The sort_by call fires; the `fn partial_cmp` definition and the
     // total_cmp call do not.
     assert_eq!(count(&r, RuleId::NoRawFloatOrd), 1, "{:?}", r.violations);
 }
 
 #[test]
-fn r5_fires_only_on_hot_paths() {
-    let hot = scan("r5_panic_hot.rs", Profile::Sim, true);
-    // unwrap + short expect + panic! + unreachable!; the invariant-citing
-    // expect and the non-literal expect pass.
-    assert_eq!(
-        count(&hot, RuleId::NoPanicHotPath),
-        4,
-        "{:?}",
-        hot.violations
-    );
-
-    let cold = scan("r5_panic_hot.rs", Profile::Sim, false);
-    assert_eq!(
-        count(&cold, RuleId::NoPanicHotPath),
-        0,
-        "{:?}",
-        cold.violations
-    );
-}
-
-#[test]
-fn r5_suppression_holds() {
-    let r = scan("r5_suppressed.rs", Profile::Sim, true);
-    assert_eq!(count(&r, RuleId::NoPanicHotPath), 0, "{:?}", r.violations);
-    assert_eq!(count_suppressed(&r, RuleId::NoPanicHotPath), 1);
-}
-
-#[test]
 fn r6_fires_on_printing_but_not_sink_writes() {
-    let r = scan("r6_stdout.rs", Profile::Sim, false);
+    let r = scan("r6_stdout.rs", Profile::Sim);
     // println! + eprintln! + dbg!; writeln!(out, ...) is the sanctioned path.
     assert_eq!(count(&r, RuleId::NoStdoutInLibs), 3, "{:?}", r.violations);
 }
@@ -136,12 +102,11 @@ fn r6_fires_on_printing_but_not_sink_writes() {
 fn harness_profile_waives_exactly_the_harness_rules() {
     // The file declares profile(harness); scan_path honors the directive
     // even though the default passed in is Sim.
-    let r = scan("harness_profile.rs", Profile::Sim, true);
+    let r = scan("harness_profile.rs", Profile::Sim);
     assert_eq!(r.profile, Profile::Harness);
     assert_eq!(count(&r, RuleId::NoWallClock), 0);
     assert_eq!(count(&r, RuleId::NoUnorderedIteration), 0);
     assert_eq!(count(&r, RuleId::NoStdoutInLibs), 0);
-    assert_eq!(count(&r, RuleId::NoPanicHotPath), 0);
     // Seeding and float ordering still fire: they leak into results.
     assert_eq!(count(&r, RuleId::NoAmbientRng), 1, "{:?}", r.violations);
     assert_eq!(count(&r, RuleId::NoRawFloatOrd), 1, "{:?}", r.violations);
@@ -149,13 +114,13 @@ fn harness_profile_waives_exactly_the_harness_rules() {
 
 #[test]
 fn cfg_test_items_are_exempt() {
-    let r = scan("cfg_test_exempt.rs", Profile::Sim, true);
+    let r = scan("cfg_test_exempt.rs", Profile::Sim);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
 }
 
 #[test]
 fn reasonless_or_unknown_suppressions_are_violations() {
-    let r = scan("bad_suppression.rs", Profile::Sim, false);
+    let r = scan("bad_suppression.rs", Profile::Sim);
     // One malformed (missing reason) + one unknown rule name.
     assert_eq!(count(&r, RuleId::LintDirective), 2, "{:?}", r.violations);
     // And the reasonless allow does NOT suppress: the Instant::now under it
@@ -165,7 +130,7 @@ fn reasonless_or_unknown_suppressions_are_violations() {
 
 #[test]
 fn raw_string_literals_are_masked_and_expect_messages_read() {
-    let r = scan("masking_raw_string.rs", Profile::Sim, true);
+    let r = scan("masking_raw_string.rs", Profile::Sim);
     // Only the two real HashMap mentions after the raw strings fire.
     assert_eq!(
         count(&r, RuleId::NoUnorderedIteration),
@@ -181,14 +146,20 @@ fn raw_string_literals_are_masked_and_expect_messages_read() {
     ] {
         assert_eq!(count(&r, rule), 0, "{:?}", r.violations);
     }
-    // The short raw-string expect message fires; the invariant-citing one
-    // passes.
-    assert_eq!(count(&r, RuleId::NoPanicHotPath), 1, "{:?}", r.violations);
+    // Reached from a hot entry point, the short raw-string expect message
+    // fires; the invariant-citing one passes.
+    let hot = &scan_set(&["masking_raw_string.rs"])[0];
+    assert_eq!(
+        count(hot, RuleId::PanicReachability),
+        1,
+        "{:?}",
+        hot.violations
+    );
 }
 
 #[test]
 fn macro_rules_bodies_are_masked() {
-    let r = scan("masking_macro_rules.rs", Profile::Sim, false);
+    let r = scan("masking_macro_rules.rs", Profile::Sim);
     // Only the two HashMap mentions outside the macro bodies fire.
     assert_eq!(
         count(&r, RuleId::NoUnorderedIteration),

@@ -1,6 +1,5 @@
 //! Test-code exemption fixture: the same hazards inside `#[cfg(test)]` and
 //! `#[test]` items are test-code, not simulation code, and must not fire.
-//! Scanned with hot_path = true so R5 would apply if not exempt.
 
 fn shipping_code() -> u32 {
     42

@@ -90,16 +90,16 @@ fn every_in_tree_suppression_carries_a_reason() {
     // The workspace currently carries a small, audited set of allows:
     // the two FastMap/FastSet alias definitions, the keyed-only FastMap
     // fields (director workflows/ctx, federation migrations/reservations,
-    // fleet agents, plane transfer owners, admission gates), one
-    // admission lock panic, and one clone-mode unreachable. The R7
-    // re-audit deleted the shared-lock unreachable in
-    // `AdmissionControl::try_acquire` (restructured into the sibling
-    // arms' sanctioned `assert!` form), lowering the bound from 15; the
-    // binary-heap event queue deleted the two event-queue seq sets,
-    // lowering it from 14. Growing this number should be a conscious
-    // choice.
+    // fleet agents, plane transfer owners, admission gates) and one
+    // admission lock panic. The R7 re-audit deleted the shared-lock
+    // unreachable in `AdmissionControl::try_acquire` (restructured into
+    // the sibling arms' sanctioned `assert!` form), lowering the bound
+    // from 15; the binary-heap event queue deleted the two event-queue
+    // seq sets, lowering it from 14; the declarative clone programs
+    // deleted the clone-mode unreachable, lowering it from 11. Growing
+    // this number should be a conscious choice.
     assert!(
-        allows <= 11,
+        allows <= 10,
         "suppression count grew to {allows}; audit new allows before raising this bound"
     );
 }
@@ -118,31 +118,4 @@ fn hot_entry_points_all_resolve() {
         "hot entry points failed to resolve: {missing:?}"
     );
     assert!(!entries.is_empty());
-}
-
-#[test]
-fn r7_closure_subsumes_the_legacy_hot_path_list() {
-    // The hand-maintained PR-4 list is kept as a regression floor: every
-    // file it names must still contain at least one fn inside the
-    // graph-computed hot closure.
-    let loaded = cpsim_lint::load_workspace(&workspace_root()).expect("load workspace");
-    let (g, sim_idx) = cpsim_lint::build_graph(&loaded);
-    let rels: Vec<&str> = sim_idx
-        .iter()
-        .map(|&i| loaded[i].src.rel.as_str())
-        .collect();
-    let (entries, _) = cpsim_lint::resolve::entry_fns(&g, cpsim_lint::resolve::HOT_ENTRY_POINTS);
-    let closure = g.reachable_from(&entries);
-    for hot_file in cpsim_lint::HOT_PATH_FILES {
-        let covered = g
-            .fns
-            .iter()
-            .enumerate()
-            .any(|(i, f)| closure[i].is_some() && rels[f.file] == *hot_file);
-        assert!(
-            covered,
-            "{hot_file} is in HOT_PATH_FILES but no fn of it is in the R7 closure; \
-             either the graph regressed or the file should be audited out of the list"
-        );
-    }
 }

@@ -232,7 +232,7 @@ impl AdmissionControl {
                 Some(VmLock::Shared(_)) => {
                     self.vm_locks.remove(vm);
                 }
-                // cpsim-lint: allow(no-panic-hot-path, panic-reachability): a double-release means the lock table is already corrupt; aborting beats silently leaking capacity
+                // cpsim-lint: allow(panic-reachability): a double-release means the lock table is already corrupt; aborting beats silently leaking capacity
                 other => panic!("releasing unheld shared vm lock: {other:?}"),
             }
             self.freed.insert(Blocker::Vm(*vm));

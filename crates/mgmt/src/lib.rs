@@ -5,7 +5,11 @@
 //!
 //! - every management [`Operation`] runs as a *phase program* that
 //!   alternates between management-server CPU work, inventory-database
-//!   statements, host-agent primitives, and bulk data transfers;
+//!   statements, host-agent primitives, and bulk data transfers. Each
+//!   operation kind (and clone mode) declares its program as a list of
+//!   stages (cost draws, agent primitives, the VM lock, and named
+//!   actions for its inventory and storage work), run by one
+//!   interpreter after a shared ingress/task-record prelude;
 //! - CPU and DB are bounded multi-server queues, host agents have per-host
 //!   concurrency caps, and datastores share copy bandwidth — so saturation
 //!   emerges from the same resources that bound the real system;

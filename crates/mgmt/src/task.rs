@@ -5,7 +5,7 @@ use cpsim_des::{SimDuration, SimTime};
 use cpsim_inventory::{DatastoreId, DiskId, HostId, VmId};
 
 use crate::admission::Scope;
-use crate::op::Operation;
+use crate::op::{OpKind, Operation};
 
 /// Which plane a phase's time belongs to, for the latency-split analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,103 +32,93 @@ impl PhaseClass {
     }
 }
 
-/// In-flight state of a management operation.
+/// A management operation in flight: the report it fills, next to the
+/// state only a running task needs.
 #[derive(Clone, Debug)]
 pub struct Task {
     /// The operation being executed.
-    pub op: Operation,
+    pub op: OpKind,
     /// Current stage counter of the per-op phase program.
     pub stage: u32,
-    /// Submission time.
-    pub submitted_at: SimTime,
-    /// Admission scope currently held (empty until acquired).
-    pub scope: Option<Scope>,
+    /// Admission scope currently held (empty until acquired). Boxed: a
+    /// parked task holds none, and an inline `Scope` would add 80 bytes
+    /// to each of the tens of thousands of tasks an overloaded plane
+    /// parks.
+    pub scope: Option<Box<Scope>>,
     /// When the task was parked by admission control, if waiting.
     pub parked_at: Option<SimTime>,
-    /// Placement decision, once made.
-    pub placement: Option<(HostId, DatastoreId)>,
-    /// The VM this task produced (provisioning ops).
-    pub produced_vm: Option<VmId>,
-    /// The VM this task targets (power/reconfigure/snapshot/destroy/...).
-    pub target_vm: Option<VmId>,
     /// Scratch: disk being produced by a copy in flight.
     pub work_disk: Option<DiskId>,
     /// Whether a linked clone had to make a shadow copy first.
     pub shadow_copy: bool,
     /// When the current data transfer started (for data-plane accounting).
     pub transfer_started: Option<SimTime>,
-    /// Times a failed phase has been retried (fault recovery).
-    pub retries: u32,
     /// The in-flight host-agent primitive was injected to hang; its
     /// completion at the phase timeout must be treated as a failure.
     pub pending_timeout: bool,
-    /// The task exhausted its retry budget and gave up.
-    pub aborted: bool,
-    /// Partial state (VM record, scratch disk) was rolled back on failure.
-    pub rolled_back: bool,
-    /// Seconds of management CPU consumed.
-    pub cpu_secs: f64,
-    /// Seconds of database service consumed.
-    pub db_secs: f64,
-    /// Seconds of host-agent service consumed.
-    pub agent_secs: f64,
-    /// Seconds of data-transfer wall time.
-    pub data_secs: f64,
-    /// Seconds spent waiting in resource queues (CPU/DB/agent).
-    pub queue_secs: f64,
-    /// Seconds spent parked in admission control.
-    pub admission_secs: f64,
-    /// Per-(class, label) service-time breakdown.
-    pub breakdown: Vec<(PhaseClass, &'static str, f64)>,
+    /// The report, filled as the task runs. Its completion time, latency
+    /// and error are set when the task finishes.
+    pub report: TaskReport,
 }
 
 impl Task {
     /// Creates a fresh task for `op` submitted at `now`.
     pub fn new(op: Operation, now: SimTime) -> Self {
+        let target_vm = match op.kind {
+            OpKind::PowerOn { vm }
+            | OpKind::PowerOff { vm }
+            | OpKind::Reconfigure { vm }
+            | OpKind::Snapshot { vm }
+            | OpKind::RemoveSnapshot { vm }
+            | OpKind::DestroyVm { vm }
+            | OpKind::MigrateVm { vm }
+            | OpKind::RelocateVm { vm, .. }
+            | OpKind::CloneVm { source: vm, .. } => Some(vm),
+            _ => None,
+        };
         Task {
-            op,
             stage: 0,
-            submitted_at: now,
             scope: None,
             parked_at: None,
-            placement: None,
-            produced_vm: None,
-            target_vm: None,
             work_disk: None,
             shadow_copy: false,
             transfer_started: None,
-            retries: 0,
             pending_timeout: false,
-            aborted: false,
-            rolled_back: false,
-            cpu_secs: 0.0,
-            db_secs: 0.0,
-            agent_secs: 0.0,
-            data_secs: 0.0,
-            queue_secs: 0.0,
-            admission_secs: 0.0,
-            breakdown: Vec::new(),
+            report: TaskReport {
+                kind: op.kind.name(),
+                tag: op.tag,
+                submitted_at: now,
+                completed_at: now,
+                latency: SimDuration::ZERO,
+                cpu_secs: 0.0,
+                db_secs: 0.0,
+                agent_secs: 0.0,
+                data_secs: 0.0,
+                queue_secs: 0.0,
+                admission_secs: 0.0,
+                produced_vm: None,
+                target_vm,
+                placement: None,
+                error: None,
+                retries: 0,
+                aborted: false,
+                rolled_back: false,
+                breakdown: Vec::new(),
+            },
+            op: op.kind,
         }
     }
 
     /// Records `secs` of service under `class`/`label`.
     pub fn charge(&mut self, class: PhaseClass, label: &'static str, secs: f64) {
+        let r = &mut self.report;
         match class {
-            PhaseClass::Cpu => self.cpu_secs += secs,
-            PhaseClass::Db => self.db_secs += secs,
-            PhaseClass::HostAgent => self.agent_secs += secs,
-            PhaseClass::DataTransfer => self.data_secs += secs,
+            PhaseClass::Cpu => r.cpu_secs += secs,
+            PhaseClass::Db => r.db_secs += secs,
+            PhaseClass::HostAgent => r.agent_secs += secs,
+            PhaseClass::DataTransfer => r.data_secs += secs,
         }
-        self.breakdown.push((class, label, secs));
-    }
-
-    /// Control-plane seconds: CPU + DB + host-agent service.
-    ///
-    /// Host-agent time counts as control plane because it is serialized
-    /// orchestration work, not bulk data movement — the split the paper's
-    /// analysis uses.
-    pub fn control_secs(&self) -> f64 {
-        self.cpu_secs + self.db_secs + self.agent_secs
+        r.breakdown.push((class, label, secs));
     }
 }
 
@@ -181,7 +171,11 @@ impl TaskReport {
         self.error.is_none()
     }
 
-    /// Control-plane seconds (CPU + DB + host agent).
+    /// Control-plane seconds: CPU + DB + host-agent service.
+    ///
+    /// Host-agent time counts as control plane because it is serialized
+    /// orchestration work, not bulk data movement — the split the paper's
+    /// analysis uses.
     pub fn control_secs(&self) -> f64 {
         self.cpu_secs + self.db_secs + self.agent_secs
     }
@@ -190,7 +184,6 @@ impl TaskReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::OpKind;
     use cpsim_inventory::{EntityId, VmSpec};
 
     #[test]
@@ -203,12 +196,13 @@ mod tests {
         t.charge(PhaseClass::Db, "insert", 0.06);
         t.charge(PhaseClass::HostAgent, "power-on", 2.8);
         t.charge(PhaseClass::DataTransfer, "copy", 100.0);
-        assert_eq!(t.cpu_secs, 0.02);
-        assert_eq!(t.db_secs, 0.06);
-        assert_eq!(t.agent_secs, 2.8);
-        assert_eq!(t.data_secs, 100.0);
-        assert!((t.control_secs() - 2.88).abs() < 1e-12);
-        assert_eq!(t.breakdown.len(), 4);
+        let r = &t.report;
+        assert_eq!(r.cpu_secs, 0.02);
+        assert_eq!(r.db_secs, 0.06);
+        assert_eq!(r.agent_secs, 2.8);
+        assert_eq!(r.data_secs, 100.0);
+        assert!((r.control_secs() - 2.88).abs() < 1e-12);
+        assert_eq!(r.breakdown.len(), 4);
     }
 
     #[test]
