@@ -528,7 +528,7 @@ impl CloudDirector {
         if wf.outstanding == 0 {
             // Nothing to do: complete immediately.
             let report = Self::report_of(wf_id, &wf, now);
-            self.stats.on_completed(&report);
+            self.stats.on_completed();
             self.finalize_vapp(&wf, now, &mut out);
             out.reports.push(report);
         } else {
@@ -685,7 +685,7 @@ impl CloudDirector {
                 .remove(&wf_id)
                 .expect("the `complete` closure just read this entry");
             let report = Self::report_of(wf_id, &wf, now);
-            self.stats.on_completed(&report);
+            self.stats.on_completed();
             self.finalize_vapp(&wf, now, &mut out);
             if self.policy.on_failure == FailurePolicy::Rollback
                 && report.ops_failed > 0

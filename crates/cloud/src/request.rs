@@ -1,10 +1,7 @@
 //! Cloud-level requests, reports, and statistics.
 
-use std::collections::BTreeMap;
-
 use cpsim_des::{SimDuration, SimTime};
 use cpsim_inventory::{DatastoreSpec, HostSpec, OrgId, VappId, VmId};
-use cpsim_metrics::Histogram;
 use cpsim_mgmt::CloneMode;
 
 /// A tenant- or operator-level request to the cloud.
@@ -124,7 +121,7 @@ impl CloudReport {
 #[derive(Clone, Debug, Default)]
 pub struct CloudStats {
     submitted: u64,
-    by_kind: BTreeMap<&'static str, (u64, Histogram)>,
+    completed: u64,
     vms_provisioned: u64,
     vms_destroyed: u64,
     lease_expiries: u64,
@@ -141,11 +138,9 @@ impl CloudStats {
         self.submitted += 1;
     }
 
-    /// Records a completed request.
-    pub fn on_completed(&mut self, report: &CloudReport) {
-        let (count, hist) = self.by_kind.entry(report.kind).or_default();
-        *count += 1;
-        hist.record(report.latency.as_secs_f64());
+    /// Notes a completed request.
+    pub fn on_completed(&mut self) {
+        self.completed += 1;
     }
 
     /// Notes a VM successfully provisioned.
@@ -168,19 +163,9 @@ impl CloudStats {
         self.submitted
     }
 
-    /// Requests completed across kinds.
+    /// Requests completed.
     pub fn completed(&self) -> u64 {
-        self.by_kind.values().map(|(c, _)| c).sum()
-    }
-
-    /// Completions and latency distribution for `kind`.
-    pub fn kind(&self, kind: &str) -> Option<(u64, &Histogram)> {
-        self.by_kind.get(kind).map(|(c, h)| (*c, h))
-    }
-
-    /// Iterates kinds deterministically.
-    pub fn kinds(&self) -> impl Iterator<Item = (&'static str, u64, &Histogram)> + '_ {
-        self.by_kind.iter().map(|(k, (c, h))| (*k, *c, h))
+        self.completed
     }
 
     /// VMs provisioned.
@@ -227,14 +212,11 @@ mod tests {
             vapp: None,
         };
         assert!(report.is_clean());
-        s.on_completed(&report);
+        s.on_completed();
         s.on_vm_provisioned();
         assert_eq!(s.submitted(), 1);
         assert_eq!(s.completed(), 1);
         assert_eq!(s.vms_provisioned(), 1);
-        let (count, hist) = s.kind("instantiate-vapp").unwrap();
-        assert_eq!(count, 1);
-        assert_eq!(hist.count(), 1);
     }
 
     #[test]

@@ -117,6 +117,30 @@ impl FaultKind {
             FaultKind::HeartbeatRestore { .. } => "heartbeat-restore",
         }
     }
+
+    /// The window this kind opens, as the delay until its close and the
+    /// closing event (`HostCrash { host, down_for }` closes with
+    /// `HostRecover { host }` after `down_for`). `None` for a closing kind.
+    pub fn closing(&self) -> Option<(SimDuration, FaultKind)> {
+        match *self {
+            FaultKind::HostCrash { host, down_for } => {
+                Some((down_for, FaultKind::HostRecover { host }))
+            }
+            FaultKind::AgentSlowdown { factor, duration } => {
+                Some((duration, FaultKind::AgentSpeedRestore { factor }))
+            }
+            FaultKind::DbDegraded { factor, duration } => {
+                Some((duration, FaultKind::DbRestore { factor }))
+            }
+            FaultKind::DatastoreOutage { ds, duration } => {
+                Some((duration, FaultKind::DatastoreRestore { ds }))
+            }
+            FaultKind::HeartbeatDrops { host, duration } => {
+                Some((duration, FaultKind::HeartbeatRestore { host }))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A concrete fault scheduled at a point in simulated time.
@@ -431,6 +455,49 @@ mod tests {
         .backoff(2, &mut r1);
         let jittered = p.backoff(2, &mut r2);
         assert!(jittered >= base, "jitter only adds");
+    }
+
+    #[test]
+    fn every_opening_kind_names_its_close() {
+        let d = SimDuration::from_secs(30);
+        let pairs = [
+            (
+                FaultKind::HostCrash {
+                    host: 3,
+                    down_for: d,
+                },
+                FaultKind::HostRecover { host: 3 },
+            ),
+            (
+                FaultKind::AgentSlowdown {
+                    factor: 1.5,
+                    duration: d,
+                },
+                FaultKind::AgentSpeedRestore { factor: 1.5 },
+            ),
+            (
+                FaultKind::DbDegraded {
+                    factor: 2.0,
+                    duration: d,
+                },
+                FaultKind::DbRestore { factor: 2.0 },
+            ),
+            (
+                FaultKind::DatastoreOutage { ds: 1, duration: d },
+                FaultKind::DatastoreRestore { ds: 1 },
+            ),
+            (
+                FaultKind::HeartbeatDrops {
+                    host: 2,
+                    duration: d,
+                },
+                FaultKind::HeartbeatRestore { host: 2 },
+            ),
+        ];
+        for (open, close) in pairs {
+            assert_eq!(open.closing(), Some((d, close)));
+            assert_eq!(close.closing(), None);
+        }
     }
 
     #[test]

@@ -181,12 +181,6 @@ pub(crate) struct ShardCore {
     pub(crate) initial_vms: Vec<VmId>,
 }
 
-/// Folds foreign shared-pool commits into the shard's mirror, charging
-/// the plane for the refresh.
-fn sync_gate(stack: &mut MgmtStack<ShardLedger>, now: SimTime, queue: &mut EventQueue<ShardEvent>) {
-    stack.drive_plane(now, queue, |plane, out| plane.sync_placement_gate(now, out));
-}
-
 impl Model for ShardCore {
     type Event = ShardEvent;
 
@@ -198,7 +192,9 @@ impl Model for ShardCore {
             ShardEvent::Request(req) => stack.submit_cloud(now, req, queue),
             ShardEvent::Op(op) => stack.submit_op(now, op, queue),
             ShardEvent::StoreSync => {
-                sync_gate(stack, now, queue);
+                // Folds foreign shared-pool commits into the shard's
+                // mirror, charging the plane for the refresh.
+                stack.plane.sync_placement_gate(now);
                 queue.schedule(now + self.staleness, ShardEvent::StoreSync);
             }
             ShardEvent::MigrateEvacuate { id, vm } => {
@@ -209,7 +205,7 @@ impl Model for ShardCore {
                 // The destination refreshes its shared-pool view first
                 // (it is about to place into it), then admits the VM as
                 // a linked clone of its local template.
-                sync_gate(stack, now, queue);
+                stack.plane.sync_placement_gate(now);
                 let op = Operation::tagged(
                     OpKind::CloneVm {
                         source: stack.templates[0],

@@ -14,6 +14,8 @@
 //! Still dependency-free: no `syn`, byte-level scanning only, consistent
 //! with the offline `compat/` policy.
 
+use std::collections::BTreeSet;
+
 use crate::source::SourceFile;
 
 /// What kind of type definition a [`TypeItem`] records.
@@ -47,7 +49,10 @@ pub struct UseAlias {
     pub target: String,
 }
 
-/// One `fn` item (free function, inherent/trait method, or trait default).
+/// One `fn` item (free function, inherent/trait method, or trait default),
+/// or a `const`/`static` item outside any fn body standing in for one: a
+/// table of fn paths (a dispatch table) calls what it names, and a fn that
+/// names the table calls the table.
 #[derive(Debug)]
 pub struct FnItem {
     /// Index into the file slice the graph was built over.
@@ -61,9 +66,12 @@ pub struct FnItem {
     /// Masked text of the parameter list (between the parens).
     pub params: String,
     /// Byte span of the body including braces; `None` for `fn ...;` decls.
+    /// A table's body is its initializer, from the `=` to the `;`.
     pub body: Option<(usize, usize)>,
     /// Whether the item sits inside a `#[cfg(test)]` / `#[test]` range.
     pub is_test: bool,
+    /// Whether this is a `const`/`static` table rather than a `fn`.
+    pub is_table: bool,
 }
 
 impl FnItem {
@@ -124,8 +132,14 @@ impl SymbolGraph {
             parse_items(fi, src, &mut g);
         }
         // Attribute call sites to the innermost enclosing fn body.
+        let tables: BTreeSet<String> = g
+            .fns
+            .iter()
+            .filter(|f| f.is_table)
+            .map(|f| f.name.clone())
+            .collect();
         for (fi, src) in files.iter().enumerate() {
-            extract_calls(fi, src, &mut g);
+            extract_calls(fi, src, &tables, &mut g);
         }
         crate::resolve::resolve_calls(&mut g);
         g
@@ -287,6 +301,8 @@ fn parse_items(fi: usize, src: &SourceFile, g: &mut SymbolGraph) {
     let b = src.code.as_bytes();
     // (self_ty, end_byte) of enclosing impl/trait blocks.
     let mut regions: Vec<(String, usize)> = Vec::new();
+    // End bytes of enclosing fn bodies.
+    let mut fn_ends: Vec<usize> = Vec::new();
     let mut i = 0;
     while i < b.len() {
         if !is_ident_start(b[i]) {
@@ -303,6 +319,9 @@ fn parse_items(fi: usize, src: &SourceFile, g: &mut SymbolGraph) {
             } else {
                 break;
             }
+        }
+        while fn_ends.last().is_some_and(|&end| i >= end) {
+            fn_ends.pop();
         }
         let (after, word) = read_ident(b, i).expect("ident start checked above");
         match word {
@@ -435,7 +454,9 @@ fn parse_items(fi: usize, src: &SourceFile, g: &mut SymbolGraph) {
                     params,
                     body,
                     is_test: src.is_exempt(i),
+                    is_table: false,
                 });
+                fn_ends.extend(body.map(|(_, e)| e));
                 // Continue *inside* the body (nested items), skipping the
                 // signature tail.
                 i = match body {
@@ -451,6 +472,25 @@ fn parse_items(fi: usize, src: &SourceFile, g: &mut SymbolGraph) {
                 parse_use_aliases(fi, &src.code[after..k.min(src.code.len())], g);
                 i = k + 1;
             }
+            // A table inside a fn body is part of that body's calls; `'static`
+            // is a lifetime.
+            "const" | "static" if fn_ends.is_empty() && (i == 0 || b[i - 1] != b'\'') => {
+                let Some((name, init)) = table_item(b, after) else {
+                    i = after;
+                    continue;
+                };
+                g.fns.push(FnItem {
+                    file: fi,
+                    name,
+                    self_ty: regions.last().map(|(ty, _)| ty.clone()),
+                    line: src.line_of(i),
+                    params: String::new(),
+                    body: Some(init),
+                    is_test: src.is_exempt(i),
+                    is_table: true,
+                });
+                i = init.1;
+            }
             "macro_rules" => {
                 // Body already masked; skip the introducer.
                 i = after;
@@ -460,6 +500,38 @@ fn parse_items(fi: usize, src: &SourceFile, g: &mut SymbolGraph) {
             }
         }
     }
+}
+
+/// Parses `[mut] NAME: Type = init;` after a `const`/`static` keyword
+/// ending at `after`: the item's name and its initializer's byte span. A
+/// `const fn`, or a `const _` with no name to refer to, is no table.
+fn table_item(b: &[u8], after: usize) -> Option<(String, (usize, usize))> {
+    let (mut k, mut name) = read_ident(b, skip_ws(b, after))?;
+    if name == "mut" {
+        (k, name) = read_ident(b, skip_ws(b, k))?;
+    }
+    let mut t = skip_ws(b, k);
+    if name == "_" || b.get(t) != Some(&b':') {
+        return None;
+    }
+    while t < b.len() && b[t] != b'=' && b[t] != b';' {
+        t = match b[t] {
+            b'<' => match_angles(b, t),
+            b'(' | b'[' => match_delim(b, t),
+            _ => t + 1,
+        };
+    }
+    if b.get(t) != Some(&b'=') {
+        return None;
+    }
+    let mut e = t + 1;
+    while e < b.len() && b[e] != b';' {
+        e = match b[e] {
+            b'(' | b'[' | b'{' => match_delim(b, e),
+            _ => e + 1,
+        };
+    }
+    Some((name.to_string(), (t, e)))
 }
 
 /// The self-type name of an `impl` header (text between generics and `{`).
@@ -551,8 +623,9 @@ fn parse_use_aliases(fi: usize, body: &str, g: &mut SymbolGraph) {
 }
 
 /// Extracts call sites (and qualified fn-path references) from every fn
-/// body parsed out of file `fi`.
-fn extract_calls(fi: usize, src: &SourceFile, g: &mut SymbolGraph) {
+/// body parsed out of file `fi`. A bare mention of a name in `tables`
+/// calls that table.
+fn extract_calls(fi: usize, src: &SourceFile, tables: &BTreeSet<String>, g: &mut SymbolGraph) {
     let b = src.code.as_bytes();
     let bodies: Vec<(usize, usize, usize)> = g
         .fns
@@ -662,8 +735,10 @@ fn extract_calls(fi: usize, src: &SourceFile, g: &mut SymbolGraph) {
             (CallKind::Free, None, None)
         };
         // Record: real calls always; bare path references only when
-        // qualified (`Registry { run: t1::run }` style fn pointers).
-        let record = !is_macro && (is_call || kind == CallKind::Qualified);
+        // qualified (`Registry { run: t1::run }` style fn pointers) or
+        // naming a table.
+        let table = kind == CallKind::Free && tables.contains(name);
+        let record = !is_macro && (is_call || kind == CallKind::Qualified || table);
         if record {
             g.calls.push(CallSite {
                 caller,

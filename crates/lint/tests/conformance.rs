@@ -203,6 +203,24 @@ fn r7_flags_panics_reachable_across_files() {
 }
 
 #[test]
+fn r7_follows_fns_named_in_a_const_table() {
+    let reports = scan_set(&["r7_bad/stages.rs"]);
+    let flagged: Vec<_> = reports[0]
+        .violations
+        .iter()
+        .filter(|v| v.rule == RuleId::PanicReachability)
+        .collect();
+    assert_eq!(flagged.len(), 1, "{:?}", reports[0].violations);
+    assert!(
+        flagged[0].message.contains(
+            "`EventQueue::drain` is reachable from hot entry `EventQueue::pop_if_before`"
+        ),
+        "{}",
+        flagged[0].message
+    );
+}
+
+#[test]
 fn r7_clean_closure_passes() {
     for r in scan_set(&["r7_ok/wheel.rs", "r7_ok/helper.rs"]) {
         assert_eq!(

@@ -19,7 +19,17 @@
 //! - host heartbeats impose background CPU + DB load that scales with
 //!   inventory size. Without fault injection the plane keeps the beats off
 //!   the event queue and replays them in kernel order (see
-//!   [`ControlPlane::init_events`]).
+//!   [`ControlPlane::init_events`]);
+//! - with fault injection installed ([`ControlPlane::enable_faults`]), a
+//!   private fault injector owns every fault window: it opens a window
+//!   on the host or datastore a [`FaultKind`]'s plan index names (or
+//!   refuses one already open), names the close the plane schedules
+//!   ([`FaultKind::closing`]), closes it, and decides what each due
+//!   heartbeat means. Failed phases retry with backoff and abort with
+//!   rollback;
+//! - [`MgmtStats`] keeps counters and phase totals only. Per-task values
+//!   (latency, the control/data split, waits) live in each
+//!   [`TaskReport`].
 //!
 //! The plane is a deterministic state machine: callers feed it
 //! [`MgmtEvent`]s with explicit timestamps and route the returned
@@ -70,7 +80,7 @@ pub mod gate;
 pub mod op;
 pub mod placement;
 pub mod plane;
-pub mod recovery;
+mod recovery;
 pub mod stats;
 pub mod task;
 
@@ -81,6 +91,5 @@ pub use gate::{GateDecision, PlacementGate};
 pub use op::{AddHostParams, CloneMode, OpKind, Operation};
 pub use placement::{PlacementPolicy, Placer};
 pub use plane::{ControlPlane, Emit, MgmtEvent};
-pub use recovery::FaultInjector;
 pub use stats::MgmtStats;
 pub use task::{PhaseClass, Task, TaskReport};

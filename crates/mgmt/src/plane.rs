@@ -24,7 +24,7 @@ use crate::config::{ControlPlaneConfig, CostSamplers};
 use crate::gate::{GateDecision, PlacementGate};
 use crate::op::{AddHostParams, CloneMode, OpKind, Operation};
 use crate::placement::Placer;
-use crate::recovery::FaultInjector;
+use crate::recovery::{BeatOutcome, FaultInjector};
 use crate::stats::MgmtStats;
 use crate::task::{PhaseClass, Task, TaskReport};
 
@@ -144,6 +144,30 @@ struct TransferOwner {
     label: &'static str,
 }
 
+/// One of the management server's two stations.
+#[derive(Clone, Copy)]
+enum Station {
+    Cpu,
+    Db,
+}
+
+impl Station {
+    fn class(self) -> PhaseClass {
+        match self {
+            Station::Cpu => PhaseClass::Cpu,
+            Station::Db => PhaseClass::Db,
+        }
+    }
+
+    /// The event that ends `job`'s service here.
+    fn done(self, job: ServiceJob) -> MgmtEvent {
+        match self {
+            Station::Cpu => MgmtEvent::CpuDone(job),
+            Station::Db => MgmtEvent::DbDone(job),
+        }
+    }
+}
+
 /// The management server's CPU and database, and the beats they are owed.
 struct Stations {
     cpu: FcfsStation<ServiceJob>,
@@ -152,6 +176,13 @@ struct Stations {
 }
 
 impl Stations {
+    fn get(&mut self, s: Station) -> &mut FcfsStation<ServiceJob> {
+        match s {
+            Station::Cpu => &mut self.cpu,
+            Station::Db => &mut self.db,
+        }
+    }
+
     /// Replays every beat that comes before a call at `now` into the
     /// stations (see [`BeatTrain::replay_due`]). A replayed beat makes the
     /// lazy arrivals its event would have made, at the beat's own time.
@@ -376,11 +407,6 @@ impl ControlPlane {
         self.faults = Some(FaultInjector::new(policy, timeout_prob, rng));
     }
 
-    /// Whether fault injection is installed.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Installs an external placement gate: every provisioning placement
     /// is committed against it before admission, and conflicts retry via
     /// the fault-recovery machinery (install that too, via
@@ -398,8 +424,9 @@ impl ControlPlane {
     /// Refreshes the mirrored free-capacity view from the gate's
     /// authoritative store and charges the refresh as background
     /// management load (one CPU slice + one DB statement), mirroring how
-    /// heartbeats and resyncs are charged. No-op without a gate.
-    pub fn sync_placement_gate(&mut self, now: SimTime, out: &mut Vec<Emit>) {
+    /// heartbeats and resyncs are charged. Background work schedules no
+    /// event. No-op without a gate.
+    pub fn sync_placement_gate(&mut self, now: SimTime) {
         self.replay_beats(now);
         let Some(g) = self.gate.as_mut() else {
             return;
@@ -407,9 +434,9 @@ impl ControlPlane {
         g.sync(now, &mut self.inv);
         self.stats.on_placement_sync();
         let cpu = Self::sample_cost(&self.costs.result_processing, &mut self.rng);
-        self.enqueue_cpu(now, Owner::Background, "placement-sync", cpu, out);
+        self.charge_background(now, Station::Cpu, cpu);
         let db = Self::sample_cost(&self.costs.db_update, &mut self.rng);
-        self.enqueue_db(now, Owner::Background, "placement-sync", db, out);
+        self.charge_background(now, Station::Db, db);
     }
 
     /// Refreshes the mirrored view without charging any cost: the
@@ -572,44 +599,12 @@ impl ControlPlane {
         self.replay_beats(now);
         match event {
             MgmtEvent::Submit(op) => {
-                self.stats.on_submitted(op.kind.name());
+                self.stats.on_submitted();
                 let tid = self.tasks.insert(Task::new(op, now));
                 self.advance(now, tid, out);
             }
-            MgmtEvent::CpuDone(job) => {
-                if let Owner::Task(tid) = job.owner {
-                    if let Some(task) = self.tasks.get_mut(tid) {
-                        task.charge(PhaseClass::Cpu, job.label, job.service.as_secs_f64());
-                    }
-                }
-                if let Some(next) = self.stations.get_mut().cpu.complete(now) {
-                    self.charge_queue_wait(next.job.owner, next.waited);
-                    out.push(Emit::At(
-                        now + next.job.service,
-                        MgmtEvent::CpuDone(next.job),
-                    ));
-                }
-                if let Owner::Task(tid) = job.owner {
-                    self.advance(now, tid, out);
-                }
-            }
-            MgmtEvent::DbDone(job) => {
-                if let Owner::Task(tid) = job.owner {
-                    if let Some(task) = self.tasks.get_mut(tid) {
-                        task.charge(PhaseClass::Db, job.label, job.service.as_secs_f64());
-                    }
-                }
-                if let Some(next) = self.stations.get_mut().db.complete(now) {
-                    self.charge_queue_wait(next.job.owner, next.waited);
-                    out.push(Emit::At(
-                        now + next.job.service,
-                        MgmtEvent::DbDone(next.job),
-                    ));
-                }
-                if let Owner::Task(tid) = job.owner {
-                    self.advance(now, tid, out);
-                }
-            }
+            MgmtEvent::CpuDone(job) => self.station_done(now, Station::Cpu, job, out),
+            MgmtEvent::DbDone(job) => self.station_done(now, Station::Db, job, out),
             MgmtEvent::AgentDone {
                 host,
                 task,
@@ -696,61 +691,58 @@ impl ControlPlane {
         }
     }
 
+    /// A job left station `s`: charges it to its task, starts the next
+    /// queued job, and advances the task.
+    fn station_done(&mut self, now: SimTime, s: Station, job: ServiceJob, out: &mut Vec<Emit>) {
+        if let Owner::Task(tid) = job.owner {
+            if let Some(task) = self.tasks.get_mut(tid) {
+                task.charge(s.class(), job.label, job.service.as_secs_f64());
+            }
+        }
+        if let Some(next) = self.stations.get_mut().get(s).complete(now) {
+            self.charge_queue_wait(next.job.owner, next.waited);
+            out.push(Emit::At(now + next.job.service, s.done(next.job)));
+        }
+        if let Owner::Task(tid) = job.owner {
+            self.advance(now, tid, out);
+        }
+    }
+
     fn on_heartbeat(&mut self, now: SimTime, slot: usize, out: &mut Vec<Emit>) {
         let Some(&host) = self.heartbeat_hosts.get(slot) else {
             return;
         };
-        if self.inv.host(host).is_none() {
+        let Some(h) = self.inv.host(host) else {
             return; // host removed: stop its beats
-        }
+        };
+        let connected = h.state == HostState::Connected;
         let hb = self.cfg.heartbeat;
-        let missed = self
+        let outcome = self
             .faults
-            .as_ref()
-            .is_some_and(|inj| inj.host_down(host) || inj.hb_dropped(host));
-        if missed {
-            // No beat arrives (and nothing is charged): consecutive misses
+            .as_mut()
+            .map_or(BeatOutcome::Answered, |inj| inj.heartbeat(host, connected));
+        match outcome {
+            // No beat arrives, and nothing is charged: consecutive misses
             // eventually make the plane declare the host down, triggering
             // an inventory resync the control plane pays for.
-            let threshold = self
-                .faults
-                .as_ref()
-                .expect("missed implies injector")
-                .policy()
-                .heartbeat_miss_threshold;
-            let misses = self
-                .faults
-                .as_mut()
-                .expect("gated on faults.is_some() by this match arm")
-                .record_miss(host);
-            let connected = self
-                .inv
-                .host(host)
-                .is_some_and(|h| h.state == HostState::Connected);
-            if misses >= threshold && connected {
+            BeatOutcome::Missed => {}
+            BeatOutcome::DeclareDown => {
                 let _ = self.inv.set_host_state(host, HostState::Disconnected);
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .declare_down(host);
                 self.stats.on_host_declared_down();
-                self.charge_resync(now, out);
+                self.charge_resync(now);
             }
-        } else {
-            if let Some(inj) = self.faults.as_mut() {
-                inj.reset_misses(host);
-                if inj.is_declared_down(host) {
+            BeatOutcome::Reconnect | BeatOutcome::Answered => {
+                if outcome == BeatOutcome::Reconnect {
                     // The host answered again: reconnect it and resync.
-                    inj.clear_declared(host);
                     let _ = self.inv.set_host_state(host, HostState::Connected);
-                    self.charge_resync(now, out);
+                    self.charge_resync(now);
                 }
-            }
-            if !hb.mgmt_cpu.is_zero() {
-                self.enqueue_cpu(now, Owner::Background, "heartbeat", hb.mgmt_cpu, out);
-            }
-            if !hb.db_time.is_zero() {
-                self.enqueue_db(now, Owner::Background, "heartbeat", hb.db_time, out);
+                if !hb.mgmt_cpu.is_zero() {
+                    self.charge_background(now, Station::Cpu, hb.mgmt_cpu);
+                }
+                if !hb.db_time.is_zero() {
+                    self.charge_background(now, Station::Db, hb.db_time);
+                }
             }
         }
         out.push(Emit::At(now + hb.interval, MgmtEvent::Heartbeat { slot }));
@@ -758,12 +750,12 @@ impl ControlPlane {
 
     /// Charges the CPU + DB cost of a host-state resync as background
     /// management load (host declared down, or reconnected after one).
-    fn charge_resync(&mut self, now: SimTime, out: &mut Vec<Emit>) {
+    fn charge_resync(&mut self, now: SimTime) {
         self.stats.on_resync();
         let cpu = Self::sample_cost(&self.costs.host_sync, &mut self.rng);
-        self.enqueue_cpu(now, Owner::Background, "host-resync", cpu, out);
+        self.charge_background(now, Station::Cpu, cpu);
         let db = Self::sample_cost(&self.costs.db_update, &mut self.rng);
-        self.enqueue_db(now, Owner::Background, "host-resync", db, out);
+        self.charge_background(now, Station::Db, db);
     }
 
     fn charge_queue_wait(&mut self, owner: Owner, waited: SimDuration) {
@@ -774,67 +766,48 @@ impl ControlPlane {
         }
     }
 
-    fn enqueue_cpu(
-        &mut self,
-        now: SimTime,
-        owner: Owner,
-        label: &'static str,
-        service: SimDuration,
-        out: &mut Vec<Emit>,
-    ) {
-        let job = ServiceJob {
-            owner,
-            label,
-            service,
-        };
-        if let Some((at, job)) = Self::offer(&mut self.stations.get_mut().cpu, now, job) {
-            out.push(Emit::At(at, MgmtEvent::CpuDone(job)));
-        }
-    }
-
-    fn enqueue_db(
-        &mut self,
-        now: SimTime,
-        owner: Owner,
-        label: &'static str,
-        service: SimDuration,
-        out: &mut Vec<Emit>,
-    ) {
-        // Degraded-DB windows stretch every statement while active.
-        let service = match &self.faults {
-            Some(inj) if inj.db_scale() != 1.0 => {
+    /// `service` as station `s` serves it: degraded-DB windows stretch
+    /// every statement while open.
+    fn scaled(&self, s: Station, service: SimDuration) -> SimDuration {
+        match (&self.faults, s) {
+            (Some(inj), Station::Db) if inj.db_scale() != 1.0 => {
                 SimDuration::from_secs_f64(service.as_secs_f64() * inj.db_scale())
             }
             _ => service,
-        };
-        let job = ServiceJob {
-            owner,
-            label,
-            service,
-        };
-        if let Some((at, job)) = Self::offer(&mut self.stations.get_mut().db, now, job) {
-            out.push(Emit::At(at, MgmtEvent::DbDone(job)));
         }
     }
 
-    /// Offers `job` to a CPU or DB station and returns the completion
-    /// event to schedule, if any. Background work needs none. A task job
-    /// gets its own when it starts now, and a hand-off when it waits
-    /// behind background work.
-    fn offer(
-        station: &mut FcfsStation<ServiceJob>,
+    /// Charges background work to station `s`. No task owns it and no
+    /// event ends it.
+    fn charge_background(&mut self, now: SimTime, s: Station, service: SimDuration) {
+        let service = self.scaled(s, service);
+        self.stations.get_mut().get(s).arrive_lazy(now, service);
+    }
+
+    /// Offers task `tid`'s job to station `s`. It gets its completion
+    /// event when it starts now, and a hand-off when it waits behind
+    /// background work.
+    fn enqueue(
+        &mut self,
         now: SimTime,
-        job: ServiceJob,
-    ) -> Option<(SimTime, ServiceJob)> {
-        if job.owner == Owner::Background {
-            station.arrive_lazy(now, job.service);
-            return None;
-        }
-        match station.arrive(now, job.service, job) {
-            Arrival::Started(job) => Some((now + job.service, job)),
-            Arrival::Queued => None,
-            Arrival::Handoff(at) => Some((at, HANDOFF)),
-        }
+        s: Station,
+        tid: TaskId,
+        label: &'static str,
+        service: SimDuration,
+        out: &mut Vec<Emit>,
+    ) {
+        let service = self.scaled(s, service);
+        let job = ServiceJob {
+            owner: Owner::Task(tid),
+            label,
+            service,
+        };
+        let (at, job) = match self.stations.get_mut().get(s).arrive(now, service, job) {
+            Arrival::Started(job) => (now + job.service, job),
+            Arrival::Queued => return,
+            Arrival::Handoff(at) => (at, HANDOFF),
+        };
+        out.push(Emit::At(at, s.done(job)));
     }
 
     /// Drives `tid` forward until it blocks on a resource or finishes.
@@ -846,11 +819,11 @@ impl ControlPlane {
             let step = self.plan_step(now, tid, out);
             match step {
                 Step::Cpu(label, dur) => {
-                    self.enqueue_cpu(now, Owner::Task(tid), label, dur, out);
+                    self.enqueue(now, Station::Cpu, tid, label, dur, out);
                     return;
                 }
                 Step::Db(label, dur) => {
-                    self.enqueue_db(now, Owner::Task(tid), label, dur, out);
+                    self.enqueue(now, Station::Db, tid, label, dur, out);
                     return;
                 }
                 Step::Agent(host, primitive) => {
@@ -863,21 +836,13 @@ impl ControlPlane {
                         );
                         return;
                     }
-                    let mut service_mod = ServiceMod::default();
-                    let mut hangs = false;
-                    if let Some(inj) = self.faults.as_mut() {
-                        let scale = inj.agent_scale();
-                        if scale != 1.0 {
-                            service_mod.scale = scale;
-                        }
-                        if inj.draw_timeout() {
-                            // The primitive hangs: it occupies the agent
-                            // until the phase timeout, then fails.
-                            service_mod.force = Some(inj.policy().agent_timeout);
-                            hangs = true;
-                        }
-                    }
-                    if hangs {
+                    let service_mod = self
+                        .faults
+                        .as_mut()
+                        .map_or_else(ServiceMod::default, FaultInjector::agent_service);
+                    if service_mod.force.is_some() {
+                        // The primitive hangs: it occupies the agent until
+                        // the phase timeout, then fails.
                         self.stats.on_agent_timeout();
                         self.task_mut(tid).pending_timeout = true;
                     }
@@ -1027,7 +992,7 @@ impl ControlPlane {
     /// exponential backoff until the retry budget runs out; without it the
     /// failure is terminal.
     fn on_phase_failure(&mut self, now: SimTime, tid: TaskId, err: String, out: &mut Vec<Emit>) {
-        let Some(max_retries) = self.faults.as_ref().map(|inj| inj.policy().max_retries) else {
+        let Some(inj) = self.faults.as_mut() else {
             self.finish(now, tid, Some(err), out);
             return;
         };
@@ -1035,7 +1000,7 @@ impl ControlPlane {
             return; // already finished (a crash raced with another failure)
         };
         t.pending_timeout = false;
-        if t.report.retries >= max_retries {
+        if t.report.retries >= inj.policy().max_retries {
             t.report.aborted = true;
             self.stats.on_abort();
             self.finish(now, tid, Some(err), out);
@@ -1049,158 +1014,42 @@ impl ControlPlane {
         t.stage -= 1;
         let attempt = t.report.retries;
         self.stats.on_retry();
-        let backoff = self
-            .faults
-            .as_mut()
-            .expect("checked above")
-            .backoff(attempt);
+        let backoff = inj.backoff(attempt);
         out.push(Emit::At(now + backoff, MgmtEvent::Retry { task: tid }));
     }
 
-    /// Applies one injected fault at `now`. Host/datastore indices in the
-    /// plan are resolved modulo the current topology; recovery events are
-    /// scheduled here so every fault window closes itself.
+    /// Applies one injected fault at `now` through the injector, which
+    /// resolves plan indices modulo the current topology and opens or
+    /// closes the window; the close of every window it opens is scheduled
+    /// here. A crash also takes the host's agent down.
     fn on_fault(&mut self, now: SimTime, kind: FaultKind, out: &mut Vec<Emit>) {
-        if self.faults.is_none() {
+        let Some(inj) = self.faults.as_mut() else {
             return;
+        };
+        let (hosts, inv) = (&self.heartbeat_hosts, &self.inv);
+        let host = |i| nth(hosts, i).filter(|&h| inv.host(h).is_some());
+        let Some((delay, close)) = inj.apply(kind, host, |i| nth(&self.datastore_order, i)) else {
+            return;
+        };
+        out.push(Emit::At(now + delay, MgmtEvent::Fault(close)));
+        let FaultKind::HostCrash { host, .. } = kind else {
+            return;
+        };
+        // The crash opened, so the index resolved to a live host.
+        let hid = self.heartbeat_hosts[host % self.heartbeat_hosts.len()];
+        self.stats.on_host_crash();
+        let report = self.agents.crash_host(now, hid).expect("registered agent");
+        for (prim, tid) in report.interrupted.into_iter().chain(report.dropped) {
+            self.on_phase_failure(
+                now,
+                tid,
+                format!("host crashed during {}", prim.name()),
+                out,
+            );
         }
-        match kind {
-            FaultKind::HostCrash { host, down_for } => {
-                if self.heartbeat_hosts.is_empty() {
-                    return;
-                }
-                let hid = self.heartbeat_hosts[host % self.heartbeat_hosts.len()];
-                if self.inv.host(hid).is_none()
-                    || self
-                        .faults
-                        .as_ref()
-                        .expect("gated on faults.is_some() by this match arm")
-                        .host_down(hid)
-                {
-                    return; // removed or already down: nothing new fails
-                }
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .mark_host_down(host, hid);
-                self.stats.on_host_crash();
-                out.push(Emit::At(
-                    now + down_for,
-                    MgmtEvent::Fault(FaultKind::HostRecover { host }),
-                ));
-                let report = self.agents.crash_host(now, hid).expect("registered agent");
-                for (prim, tid) in report.interrupted.into_iter().chain(report.dropped) {
-                    self.on_phase_failure(
-                        now,
-                        tid,
-                        format!("host crashed during {}", prim.name()),
-                        out,
-                    );
-                }
-                // Inventory state is deliberately NOT flipped here: the
-                // plane only learns of the crash through missed
-                // heartbeats, so detection latency is emergent.
-            }
-            FaultKind::HostRecover { host } => {
-                // Clear the down flag; reconnection happens when healthy
-                // heartbeats resume.
-                let _ = self
-                    .faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .recover_host(host);
-            }
-            FaultKind::AgentSlowdown { factor, duration } => {
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .push_agent_slow(factor);
-                out.push(Emit::At(
-                    now + duration,
-                    MgmtEvent::Fault(FaultKind::AgentSpeedRestore { factor }),
-                ));
-            }
-            FaultKind::AgentSpeedRestore { factor } => {
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .pop_agent_slow(factor);
-            }
-            FaultKind::DbDegraded { factor, duration } => {
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .push_db_slow(factor);
-                out.push(Emit::At(
-                    now + duration,
-                    MgmtEvent::Fault(FaultKind::DbRestore { factor }),
-                ));
-            }
-            FaultKind::DbRestore { factor } => {
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .pop_db_slow(factor);
-            }
-            FaultKind::DatastoreOutage { ds, duration } => {
-                if self.datastore_order.is_empty() {
-                    return;
-                }
-                let did = self.datastore_order[ds % self.datastore_order.len()];
-                if self
-                    .faults
-                    .as_ref()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .ds_down(did)
-                {
-                    return;
-                }
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .mark_ds_down(ds, did);
-                out.push(Emit::At(
-                    now + duration,
-                    MgmtEvent::Fault(FaultKind::DatastoreRestore { ds }),
-                ));
-            }
-            FaultKind::DatastoreRestore { ds } => {
-                let _ = self
-                    .faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .restore_ds(ds);
-            }
-            FaultKind::HeartbeatDrops { host, duration } => {
-                if self.heartbeat_hosts.is_empty() {
-                    return;
-                }
-                let hid = self.heartbeat_hosts[host % self.heartbeat_hosts.len()];
-                if self
-                    .faults
-                    .as_ref()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .hb_dropped(hid)
-                {
-                    return;
-                }
-                self.faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .mark_hb_dropped(host, hid);
-                out.push(Emit::At(
-                    now + duration,
-                    MgmtEvent::Fault(FaultKind::HeartbeatRestore { host }),
-                ));
-            }
-            FaultKind::HeartbeatRestore { host } => {
-                let _ = self
-                    .faults
-                    .as_mut()
-                    .expect("gated on faults.is_some() by this match arm")
-                    .restore_hb(host);
-            }
-        }
+        // Inventory state is deliberately NOT flipped here: the plane only
+        // learns of the crash through missed heartbeats, so detection
+        // latency is emergent.
     }
 
     /// Samples a cost distribution. An associated function (not a method)
@@ -1884,9 +1733,7 @@ enum Stage {
     Act(Action),
 }
 
-/// The phase program of `op`, after the shared prelude. The stage lists
-/// are declared in this body so that the lint's call graph, which walks
-/// fn bodies, sees the actions they name.
+/// The phase program of `op`, after the shared prelude.
 fn program(op: &OpKind) -> &'static [Stage] {
     use Stage::{Act, Agent, LockVm, Placement};
 
@@ -2048,6 +1895,12 @@ fn program(op: &OpKind) -> &'static [Stage] {
 }
 
 const PRODUCED: &str = "produced by an earlier stage of this task";
+
+/// The entity a fault plan's index names: plans address hosts and
+/// datastores by creation index, modulo the live count.
+fn nth<T: Copy>(order: &[T], index: usize) -> Option<T> {
+    order.get(index.checked_rem(order.len())?).copied()
+}
 
 fn fail(e: impl std::fmt::Display) -> Step {
     Step::Fail(e.to_string())

@@ -1,11 +1,13 @@
-//! Fault-injection state tracked by the control plane: which hosts and
-//! datastores are currently impaired, active slowdown windows, heartbeat
-//! miss counters, and the deterministic RNG used for timeout draws and
-//! retry-backoff jitter.
+//! Fault-injection state tracked by the control plane: the open fault
+//! windows, heartbeat miss counters, and the deterministic RNG used for
+//! timeout draws and retry-backoff jitter.
 //!
-//! The [`FaultInjector`] is pure bookkeeping — the [`ControlPlane`]
-//! consults it at each decision point (agent submission, heartbeat,
-//! datastore-touching phases) and mutates it when fault events fire. When
+//! The [`FaultInjector`] owns every fault window's lifecycle: it resolves
+//! a fault event's plan index, opens the window (or refuses one on an
+//! entity whose window is already open), names the close to schedule,
+//! and closes it. The [`ControlPlane`] applies each fault event through
+//! [`FaultInjector::apply`] and consults the open windows at its decision
+//! points (agent submission, heartbeat, datastore-touching phases). When
 //! no injector is installed the plane takes none of those branches and
 //! draws none of this randomness, which is what makes fault-free runs
 //! bit-identical to builds without a fault plan.
@@ -15,216 +17,224 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cpsim_des::{SimDuration, SimRng};
-use cpsim_faults::RecoveryPolicy;
+use cpsim_faults::{FaultKind, RecoveryPolicy};
+use cpsim_hostagent::ServiceMod;
 use cpsim_inventory::{DatastoreId, HostId};
 use rand::Rng;
 
+/// Windows that impair one entity each: hosts crashed, hosts whose
+/// heartbeats are dropped, datastores out.
+#[derive(Debug)]
+struct Keyed<T> {
+    /// Entities with an open window.
+    open: BTreeSet<T>,
+    /// Fault-plan index -> entities its open windows bound, in open order.
+    /// Close events carry the plan index, not the entity id, so the
+    /// binding made at open time must be remembered (the index<->id
+    /// mapping shifts when hosts or datastores are added mid-run).
+    bindings: BTreeMap<usize, Vec<T>>,
+}
+
+impl<T: Copy + Ord> Keyed<T> {
+    fn new() -> Self {
+        Keyed {
+            open: BTreeSet::new(),
+            bindings: BTreeMap::new(),
+        }
+    }
+
+    fn contains(&self, id: T) -> bool {
+        self.open.contains(&id)
+    }
+
+    /// Opens a window on `id` for plan index `idx`. `None`, binding
+    /// nothing, when `id` already has one open.
+    fn open(&mut self, idx: usize, id: T) -> Option<()> {
+        self.open.insert(id).then(|| {
+            self.bindings.entry(idx).or_default().push(id);
+        })
+    }
+
+    /// Closes the oldest window bound to plan index `idx`, if any.
+    fn close(&mut self, idx: usize) {
+        let Some(list) = self.bindings.get_mut(&idx) else {
+            return;
+        };
+        let id = list.remove(0);
+        if list.is_empty() {
+            self.bindings.remove(&idx);
+        }
+        self.open.remove(&id);
+    }
+}
+
+/// Overlapping service-time multiplier windows: agent slowdowns or DB
+/// degradations.
+#[derive(Debug, Default)]
+struct Factors(Vec<f64>);
+
+impl Factors {
+    fn open(&mut self, factor: f64) {
+        self.0.push(factor);
+    }
+
+    /// Closes the first open window with this factor, if any.
+    fn close(&mut self, factor: f64) {
+        if let Some(pos) = self.0.iter().position(|f| *f == factor) {
+            self.0.swap_remove(pos);
+        }
+    }
+
+    /// The effective multiplier: the product of the open factors, in
+    /// stack order (1.0 when none is open).
+    fn scale(&self) -> f64 {
+        self.0.iter().product()
+    }
+}
+
+/// What one due heartbeat means to the plane.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BeatOutcome {
+    /// Nothing arrived, and nothing is charged.
+    Missed,
+    /// Nothing arrived, for the threshold-th time in a row on a connected
+    /// host: the plane declares the host down and resyncs.
+    DeclareDown,
+    /// The beat arrived from a host declared down: the plane reconnects
+    /// it, resyncs, and charges the beat.
+    Reconnect,
+    /// The beat arrived: the plane charges it.
+    Answered,
+}
+
 /// Live fault state plus the recovery policy the plane applies.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     policy: RecoveryPolicy,
     timeout_prob: f64,
     rng: SimRng,
-    /// Hosts currently crashed (agent dead, heartbeats silent).
-    down_hosts: BTreeSet<HostId>,
-    /// Hosts whose heartbeats are dropped by the network (host itself up).
-    hb_dropped: BTreeSet<HostId>,
-    /// Datastores currently refusing new work.
-    ds_down: BTreeSet<DatastoreId>,
-    /// Active agent-slowdown factors; effective scale is their product.
-    agent_slow: Vec<f64>,
-    /// Active DB-degradation factors; effective scale is their product.
-    db_slow: Vec<f64>,
+    /// Hosts crashed (agent dead, heartbeats silent).
+    crashed: Keyed<HostId>,
+    /// Hosts whose heartbeats the network drops (host itself up).
+    hb_dropped: Keyed<HostId>,
+    /// Datastores refusing new work.
+    ds_down: Keyed<DatastoreId>,
+    agent_slow: Factors,
+    db_slow: Factors,
     /// Consecutive heartbeat misses per host.
     hb_misses: BTreeMap<HostId, u32>,
     /// Hosts the plane has declared down (inventory marked Disconnected).
     declared_down: BTreeSet<HostId>,
-    /// Fault-plan host index -> hosts awaiting a HostRecover with that
-    /// index, in crash order. Restore events carry the plan index, not the
-    /// entity id, so the binding made at crash time must be remembered
-    /// (the index↔id mapping can shift if hosts are added mid-run).
-    crash_bindings: BTreeMap<usize, Vec<HostId>>,
-    /// Same binding for heartbeat-drop windows.
-    hb_bindings: BTreeMap<usize, Vec<HostId>>,
-    /// Same binding for datastore outages.
-    ds_bindings: BTreeMap<usize, Vec<DatastoreId>>,
 }
 
 impl FaultInjector {
-    /// Creates an injector with no active faults.
-    pub fn new(policy: RecoveryPolicy, timeout_prob: f64, rng: SimRng) -> Self {
+    /// Creates an injector with no open windows.
+    pub(crate) fn new(policy: RecoveryPolicy, timeout_prob: f64, rng: SimRng) -> Self {
         FaultInjector {
             policy,
             timeout_prob,
             rng,
-            down_hosts: BTreeSet::new(),
-            hb_dropped: BTreeSet::new(),
-            ds_down: BTreeSet::new(),
-            agent_slow: Vec::new(),
-            db_slow: Vec::new(),
+            crashed: Keyed::new(),
+            hb_dropped: Keyed::new(),
+            ds_down: Keyed::new(),
+            agent_slow: Factors::default(),
+            db_slow: Factors::default(),
             hb_misses: BTreeMap::new(),
             declared_down: BTreeSet::new(),
-            crash_bindings: BTreeMap::new(),
-            hb_bindings: BTreeMap::new(),
-            ds_bindings: BTreeMap::new(),
         }
     }
 
     /// The recovery policy in force.
-    pub fn policy(&self) -> RecoveryPolicy {
+    pub(crate) fn policy(&self) -> RecoveryPolicy {
         self.policy
     }
 
-    // ---- host crashes ----------------------------------------------------
-
-    /// Whether `host` is currently crashed.
-    pub fn host_down(&self, host: HostId) -> bool {
-        self.down_hosts.contains(&host)
+    /// Applies one fault event and returns the close to schedule: the
+    /// delay and closing event of the window it opened.
+    ///
+    /// An opening kind opens its window on the entity its plan index
+    /// resolves to through `host` or `ds`. It opens nothing, and returns
+    /// `None`, when the index resolves to nothing or that entity's window
+    /// is already open. A closing kind closes the oldest window bound to
+    /// its plan index, or the first open window with its factor, and
+    /// returns `None`.
+    pub(crate) fn apply(
+        &mut self,
+        kind: FaultKind,
+        host: impl Fn(usize) -> Option<HostId>,
+        ds: impl Fn(usize) -> Option<DatastoreId>,
+    ) -> Option<(SimDuration, FaultKind)> {
+        match kind {
+            FaultKind::HostCrash { host: i, .. } => {
+                host(i).and_then(|h| self.crashed.open(i, h))?
+            }
+            FaultKind::HeartbeatDrops { host: i, .. } => {
+                host(i).and_then(|h| self.hb_dropped.open(i, h))?
+            }
+            FaultKind::DatastoreOutage { ds: i, .. } => {
+                ds(i).and_then(|d| self.ds_down.open(i, d))?
+            }
+            FaultKind::AgentSlowdown { factor, .. } => self.agent_slow.open(factor),
+            FaultKind::DbDegraded { factor, .. } => self.db_slow.open(factor),
+            FaultKind::HostRecover { host: i } => self.crashed.close(i),
+            FaultKind::HeartbeatRestore { host: i } => self.hb_dropped.close(i),
+            FaultKind::DatastoreRestore { ds: i } => self.ds_down.close(i),
+            FaultKind::AgentSpeedRestore { factor } => self.agent_slow.close(factor),
+            FaultKind::DbRestore { factor } => self.db_slow.close(factor),
+        }
+        kind.closing()
     }
 
-    /// Marks `host` crashed, remembering the plan index that targeted it.
-    pub fn mark_host_down(&mut self, idx: usize, host: HostId) {
-        self.down_hosts.insert(host);
-        self.crash_bindings.entry(idx).or_default().push(host);
+    /// Whether `host` is crashed.
+    pub(crate) fn host_down(&self, host: HostId) -> bool {
+        self.crashed.contains(host)
     }
 
-    /// Resolves a HostRecover carrying plan index `idx` to the host bound
-    /// at crash time, clearing its down flag.
-    pub fn recover_host(&mut self, idx: usize) -> Option<HostId> {
-        let host = pop_binding(&mut self.crash_bindings, idx)?;
-        self.down_hosts.remove(&host);
-        Some(host)
+    /// Whether `ds` is refusing new work.
+    pub(crate) fn ds_down(&self, ds: DatastoreId) -> bool {
+        self.ds_down.contains(ds)
     }
 
-    // ---- heartbeat drops -------------------------------------------------
-
-    /// Whether `host`'s heartbeats are currently dropped.
-    pub fn hb_dropped(&self, host: HostId) -> bool {
-        self.hb_dropped.contains(&host)
+    /// Effective DB service-time multiplier (1.0 when no window is open).
+    pub(crate) fn db_scale(&self) -> f64 {
+        self.db_slow.scale()
     }
 
-    /// Starts a heartbeat-drop window on `host`.
-    pub fn mark_hb_dropped(&mut self, idx: usize, host: HostId) {
-        self.hb_dropped.insert(host);
-        self.hb_bindings.entry(idx).or_default().push(host);
-    }
-
-    /// Ends the heartbeat-drop window bound to plan index `idx`.
-    pub fn restore_hb(&mut self, idx: usize) -> Option<HostId> {
-        let host = pop_binding(&mut self.hb_bindings, idx)?;
-        self.hb_dropped.remove(&host);
-        Some(host)
-    }
-
-    // ---- datastore outages -----------------------------------------------
-
-    /// Whether `ds` is currently refusing new work.
-    pub fn ds_down(&self, ds: DatastoreId) -> bool {
-        self.ds_down.contains(&ds)
-    }
-
-    /// Starts an outage on `ds`.
-    pub fn mark_ds_down(&mut self, idx: usize, ds: DatastoreId) {
-        self.ds_down.insert(ds);
-        self.ds_bindings.entry(idx).or_default().push(ds);
-    }
-
-    /// Ends the outage bound to plan index `idx`.
-    pub fn restore_ds(&mut self, idx: usize) -> Option<DatastoreId> {
-        let ds = pop_binding(&mut self.ds_bindings, idx)?;
-        self.ds_down.remove(&ds);
-        Some(ds)
-    }
-
-    // ---- slowdown windows ------------------------------------------------
-
-    /// Opens an agent-slowdown window.
-    pub fn push_agent_slow(&mut self, factor: f64) {
-        self.agent_slow.push(factor);
-    }
-
-    /// Closes one agent-slowdown window with this factor.
-    pub fn pop_agent_slow(&mut self, factor: f64) {
-        if let Some(pos) = self.agent_slow.iter().position(|f| *f == factor) {
-            self.agent_slow.swap_remove(pos);
+    /// The service modifier for the next host-agent primitive: the agent
+    /// slowdown scale, and the phase timeout as its forced service time
+    /// when the timeout draw says the primitive hangs.
+    pub(crate) fn agent_service(&mut self) -> ServiceMod {
+        let hangs = self.timeout_prob > 0.0 && self.rng.gen::<f64>() < self.timeout_prob;
+        ServiceMod {
+            scale: self.agent_slow.scale(),
+            force: hangs.then_some(self.policy.agent_timeout),
         }
     }
 
-    /// Effective agent service-time multiplier (1.0 when no window active).
-    pub fn agent_scale(&self) -> f64 {
-        self.agent_slow.iter().product()
-    }
-
-    /// Opens a DB-degradation window.
-    pub fn push_db_slow(&mut self, factor: f64) {
-        self.db_slow.push(factor);
-    }
-
-    /// Closes one DB-degradation window with this factor.
-    pub fn pop_db_slow(&mut self, factor: f64) {
-        if let Some(pos) = self.db_slow.iter().position(|f| *f == factor) {
-            self.db_slow.swap_remove(pos);
+    /// Decides what a due heartbeat from `host` means, counting misses.
+    /// `connected` is the host's inventory state.
+    pub(crate) fn heartbeat(&mut self, host: HostId, connected: bool) -> BeatOutcome {
+        if self.crashed.contains(host) || self.hb_dropped.contains(host) {
+            let misses = self.hb_misses.entry(host).or_insert(0);
+            *misses += 1;
+            if *misses >= self.policy.heartbeat_miss_threshold && connected {
+                self.declared_down.insert(host);
+                return BeatOutcome::DeclareDown;
+            }
+            return BeatOutcome::Missed;
         }
-    }
-
-    /// Effective DB service-time multiplier (1.0 when no window active).
-    pub fn db_scale(&self) -> f64 {
-        self.db_slow.iter().product()
-    }
-
-    // ---- heartbeat-miss detection ----------------------------------------
-
-    /// Records a missed heartbeat; returns the consecutive-miss count.
-    pub fn record_miss(&mut self, host: HostId) -> u32 {
-        let n = self.hb_misses.entry(host).or_insert(0);
-        *n += 1;
-        *n
-    }
-
-    /// A healthy heartbeat arrived: resets the miss counter.
-    pub fn reset_misses(&mut self, host: HostId) {
         self.hb_misses.remove(&host);
-    }
-
-    /// Whether the plane has declared `host` down.
-    pub fn is_declared_down(&self, host: HostId) -> bool {
-        self.declared_down.contains(&host)
-    }
-
-    /// Records that the plane declared `host` down.
-    pub fn declare_down(&mut self, host: HostId) {
-        self.declared_down.insert(host);
-    }
-
-    /// Records that the plane reconnected `host`.
-    pub fn clear_declared(&mut self, host: HostId) {
-        self.declared_down.remove(&host);
-    }
-
-    // ---- randomness ------------------------------------------------------
-
-    /// Draws whether the next host-agent primitive hangs to the timeout.
-    pub fn draw_timeout(&mut self) -> bool {
-        self.timeout_prob > 0.0 && self.rng.gen::<f64>() < self.timeout_prob
+        if self.declared_down.remove(&host) {
+            BeatOutcome::Reconnect
+        } else {
+            BeatOutcome::Answered
+        }
     }
 
     /// The backoff before retry number `attempt` (policy + jitter draw).
-    pub fn backoff(&mut self, attempt: u32) -> SimDuration {
+    pub(crate) fn backoff(&mut self, attempt: u32) -> SimDuration {
         self.policy.backoff(attempt, &mut self.rng)
     }
-}
-
-fn pop_binding<T: Copy>(bindings: &mut BTreeMap<usize, Vec<T>>, idx: usize) -> Option<T> {
-    let list = bindings.get_mut(&idx)?;
-    let first = if list.is_empty() {
-        None
-    } else {
-        Some(list.remove(0))
-    };
-    if list.is_empty() {
-        bindings.remove(&idx);
-    }
-    first
 }
 
 #[cfg(test)]
@@ -241,52 +251,150 @@ mod tests {
         )
     }
 
-    #[test]
-    fn crash_bindings_resolve_in_order() {
-        let mut inj = injector(0.0);
-        let h1 = HostId::from_parts(0, 1);
-        let h2 = HostId::from_parts(1, 1);
-        inj.mark_host_down(3, h1);
-        inj.mark_host_down(3, h2);
-        assert!(inj.host_down(h1) && inj.host_down(h2));
-        assert_eq!(inj.recover_host(3), Some(h1));
-        assert!(!inj.host_down(h1));
-        assert!(inj.host_down(h2));
-        assert_eq!(inj.recover_host(3), Some(h2));
-        assert_eq!(inj.recover_host(3), None);
+    fn host(n: u32) -> HostId {
+        HostId::from_parts(n, 1)
     }
 
     #[test]
-    fn slowdown_windows_compose_as_products() {
-        let mut inj = injector(0.0);
-        assert_eq!(inj.agent_scale(), 1.0);
-        inj.push_agent_slow(2.0);
-        inj.push_agent_slow(3.0);
-        assert_eq!(inj.agent_scale(), 6.0);
-        inj.pop_agent_slow(2.0);
-        assert_eq!(inj.agent_scale(), 3.0);
-        inj.pop_agent_slow(3.0);
-        assert_eq!(inj.agent_scale(), 1.0);
-        // Popping a factor that is not active is a no-op.
-        inj.pop_agent_slow(9.0);
-        assert_eq!(inj.agent_scale(), 1.0);
+    fn keyed_closes_resolve_first_in_first_out() {
+        let mut w = Keyed::new();
+        assert_eq!(w.open(3, host(1)), Some(()));
+        assert_eq!(w.open(3, host(2)), Some(()));
+        assert!(w.contains(host(1)) && w.contains(host(2)));
+        w.close(3);
+        assert!(!w.contains(host(1)), "the oldest binding closes first");
+        assert!(w.contains(host(2)));
+        w.close(3);
+        assert!(!w.contains(host(2)));
+        assert!(w.bindings.is_empty());
     }
 
     #[test]
-    fn miss_counter_counts_and_resets() {
+    fn keyed_refuses_a_second_window_and_binds_nothing() {
+        let mut w = Keyed::new();
+        assert_eq!(w.open(1, host(1)), Some(()));
+        assert_eq!(w.open(5, host(1)), None, "already open");
+        assert!(!w.bindings.contains_key(&5));
+        // A close for an index that was never bound changes nothing.
+        w.close(5);
+        w.close(99);
+        assert!(w.contains(host(1)));
+        w.close(1);
+        assert!(!w.contains(host(1)));
+        // Closed, the entity can open again.
+        assert_eq!(w.open(5, host(1)), Some(()));
+    }
+
+    #[test]
+    fn factor_closes_keep_the_left_to_right_product() {
+        let mut f = Factors::default();
+        assert_eq!(f.scale(), 1.0);
+        for x in [1.1, 1.3, 1.1, 1.7] {
+            f.open(x);
+        }
+        // The first 1.1 goes, and 1.7 is swapped into its place.
+        f.close(1.1);
+        assert_eq!(f.0, [1.7, 1.3, 1.1]);
+        assert_eq!(f.scale().to_bits(), (1.7_f64 * 1.3 * 1.1).to_bits());
+        f.close(1.3);
+        assert_eq!(f.0, [1.7, 1.1]);
+        // Closing a factor that is not open is a no-op.
+        f.close(9.0);
+        assert_eq!(f.0, [1.7, 1.1]);
+        f.close(1.7);
+        f.close(1.1);
+        assert_eq!(f.scale(), 1.0);
+    }
+
+    #[test]
+    fn factor_product_order_is_observable() {
+        // Floating-point products do not associate: the stack order
+        // swap_remove leaves decides the scale's last bits.
+        let mut f = Factors::default();
+        for x in [0.1, 0.7, 0.1, 0.3] {
+            f.open(x);
+        }
+        f.close(0.1);
+        assert_eq!(f.0, [0.3, 0.7, 0.1]);
+        let kept = f.scale();
+        assert_eq!(kept.to_bits(), (0.3_f64 * 0.7 * 0.1).to_bits());
+        assert_ne!(kept.to_bits(), (0.7_f64 * 0.1 * 0.3).to_bits());
+    }
+
+    #[test]
+    fn apply_names_the_close_of_each_window_it_opens() {
         let mut inj = injector(0.0);
-        let h = HostId::from_parts(0, 1);
-        assert_eq!(inj.record_miss(h), 1);
-        assert_eq!(inj.record_miss(h), 2);
-        inj.reset_misses(h);
-        assert_eq!(inj.record_miss(h), 1);
+        let hosts = [host(0), host(1)];
+        let on = |i: usize| hosts.get(i % hosts.len()).copied();
+        let no_ds = |_| None;
+        let crash = FaultKind::HostCrash {
+            host: 3,
+            down_for: SimDuration::from_secs(9),
+        };
+        let close = inj.apply(crash, on, no_ds);
+        assert_eq!(
+            close,
+            Some((
+                SimDuration::from_secs(9),
+                FaultKind::HostRecover { host: 3 }
+            ))
+        );
+        assert!(inj.host_down(host(1)));
+        assert_eq!(inj.apply(crash, on, no_ds), None, "already down");
+        let outage = FaultKind::DatastoreOutage {
+            ds: 0,
+            duration: SimDuration::from_secs(5),
+        };
+        assert_eq!(
+            inj.apply(outage, on, no_ds),
+            None,
+            "no datastore to resolve"
+        );
+        assert_eq!(
+            inj.apply(FaultKind::HostRecover { host: 3 }, on, no_ds),
+            None
+        );
+        assert!(!inj.host_down(host(1)));
+        let slow = FaultKind::DbDegraded {
+            factor: 2.0,
+            duration: SimDuration::from_secs(1),
+        };
+        assert!(inj.apply(slow, on, no_ds).is_some());
+        assert_eq!(inj.db_scale(), 2.0);
+        inj.apply(FaultKind::DbRestore { factor: 2.0 }, on, no_ds);
+        assert_eq!(inj.db_scale(), 1.0);
+    }
+
+    #[test]
+    fn heartbeat_misses_declare_down_then_reconnect() {
+        let mut inj = injector(0.0);
+        let h = host(0);
+        let on = |_| Some(h);
+        assert_eq!(inj.heartbeat(h, true), BeatOutcome::Answered);
+        let drops = FaultKind::HeartbeatDrops {
+            host: 0,
+            duration: SimDuration::from_secs(60),
+        };
+        inj.apply(drops, on, |_| None);
+        assert_eq!(inj.heartbeat(h, true), BeatOutcome::Missed);
+        assert_eq!(inj.heartbeat(h, true), BeatOutcome::Missed);
+        assert_eq!(inj.heartbeat(h, true), BeatOutcome::DeclareDown);
+        // Disconnected, further misses declare nothing.
+        assert_eq!(inj.heartbeat(h, false), BeatOutcome::Missed);
+        inj.apply(FaultKind::HeartbeatRestore { host: 0 }, on, |_| None);
+        assert_eq!(inj.heartbeat(h, false), BeatOutcome::Reconnect);
+        assert_eq!(inj.heartbeat(h, true), BeatOutcome::Answered);
+        // The miss counter restarted with the answered beat.
+        inj.apply(drops, on, |_| None);
+        assert_eq!(inj.heartbeat(h, true), BeatOutcome::Missed);
     }
 
     #[test]
     fn timeout_draws_respect_probability_bounds() {
         let mut never = injector(0.0);
-        assert!((0..100).all(|_| !never.draw_timeout()));
+        assert!((0..100).all(|_| never.agent_service().force.is_none()));
         let mut always = injector(1.0);
-        assert!((0..100).all(|_| always.draw_timeout()));
+        let timeout = always.policy().agent_timeout;
+        assert!((0..100).all(|_| always.agent_service().force == Some(timeout)));
     }
 }

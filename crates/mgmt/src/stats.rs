@@ -1,11 +1,11 @@
-//! Control-plane statistics: per-operation latency distributions with the
-//! control/data split, and phase-level cost accounting.
-
-use cpsim_metrics::Histogram;
+//! Control-plane statistics: per-operation outcome counters and
+//! phase-level cost accounting. Per-task values (latency, the
+//! control/data split, queue and admission waits) live in each
+//! [`TaskReport`] and the trace record made from it.
 
 use crate::task::{PhaseClass, TaskReport};
 
-/// Latency and cost distributions for one operation kind.
+/// Outcome counters for one operation kind.
 #[derive(Clone, Debug, Default)]
 pub struct KindStats {
     /// Completed tasks.
@@ -18,20 +18,6 @@ pub struct KindStats {
     pub aborted: u64,
     /// Tasks whose partial state was rolled back on failure.
     pub rolled_back: u64,
-    /// End-to-end latency, seconds.
-    pub latency: Histogram,
-    /// Management CPU seconds per task.
-    pub cpu: Histogram,
-    /// Database seconds per task.
-    pub db: Histogram,
-    /// Host-agent seconds per task.
-    pub agent: Histogram,
-    /// Data-transfer wall seconds per task.
-    pub data: Histogram,
-    /// Resource-queue wait seconds per task.
-    pub queue: Histogram,
-    /// Admission wait seconds per task.
-    pub admission: Histogram,
 }
 
 /// One `(class, label)` phase total of one kind.
@@ -115,8 +101,8 @@ impl MgmtStats {
         MgmtStats::default()
     }
 
-    /// Notes a submission of `kind`.
-    pub fn on_submitted(&mut self, _kind: &'static str) {
+    /// Notes a submission.
+    pub fn on_submitted(&mut self) {
         self.submitted += 1;
     }
 
@@ -150,13 +136,6 @@ impl MgmtStats {
         ks.retries += u64::from(report.retries);
         ks.aborted += u64::from(report.aborted);
         ks.rolled_back += u64::from(report.rolled_back);
-        ks.latency.record(report.latency.as_secs_f64());
-        ks.cpu.record(report.cpu_secs);
-        ks.db.record(report.db_secs);
-        ks.agent.record(report.agent_secs);
-        ks.data.record(report.data_secs);
-        ks.queue.record(report.queue_secs);
-        ks.admission.record(report.admission_secs);
         for &(class, label, secs) in &report.breakdown {
             entry.add_phase(class, label, secs, 1);
         }
@@ -323,13 +302,6 @@ impl MgmtStats {
             mine.retries += ks.retries;
             mine.aborted += ks.aborted;
             mine.rolled_back += ks.rolled_back;
-            mine.latency.merge(&ks.latency);
-            mine.cpu.merge(&ks.cpu);
-            mine.db.merge(&ks.db);
-            mine.agent.merge(&ks.agent);
-            mine.data.merge(&ks.data);
-            mine.queue.merge(&ks.queue);
-            mine.admission.merge(&ks.admission);
         }
         self.retries += other.retries;
         self.aborts += other.aborts;
@@ -376,8 +348,8 @@ mod tests {
     #[test]
     fn records_by_kind() {
         let mut s = MgmtStats::new();
-        s.on_submitted("clone-full");
-        s.on_submitted("clone-linked");
+        s.on_submitted();
+        s.on_submitted();
         s.on_finished(&report("clone-full", 120.0, 100.0));
         s.on_finished(&report("clone-linked", 8.0, 0.0));
         assert_eq!(s.submitted(), 2);
@@ -385,7 +357,6 @@ mod tests {
         assert_eq!(s.failed(), 0);
         let full = s.kind("clone-full").unwrap();
         assert_eq!(full.completed, 1);
-        assert!((full.latency.mean() - 120.0).abs() < 1e-9);
         assert!(s.kind("power-on").is_none());
     }
 
@@ -415,14 +386,14 @@ mod tests {
     #[test]
     fn merge_combines_everything() {
         let mut a = MgmtStats::new();
-        a.on_submitted("x");
+        a.on_submitted();
         a.on_finished(&report("clone-full", 100.0, 90.0));
         let mut b = MgmtStats::new();
-        b.on_submitted("x");
+        b.on_submitted();
         b.on_finished(&report("clone-full", 200.0, 180.0));
         a.merge(&b);
         assert_eq!(a.submitted(), 2);
-        assert_eq!(a.kind("clone-full").unwrap().latency.count(), 2);
+        assert_eq!(a.kind("clone-full").unwrap().completed, 2);
         let (_, _, _, secs, n) = a.phase_totals().next().unwrap();
         assert!((secs - 0.2).abs() < 1e-12);
         assert_eq!(n, 2);
