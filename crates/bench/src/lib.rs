@@ -19,9 +19,6 @@ pub struct Cli {
     pub seed: Option<u64>,
     /// Worker threads per sweep (`None` = one per core; `1` = sequential).
     pub jobs: Option<usize>,
-    /// Shard executors inside each federated simulation (`None` = the
-    /// sequential oracle loop; `0` is accepted as "one per core").
-    pub intra_jobs: Option<usize>,
     /// Directory to write CSV copies into.
     pub csv_dir: Option<PathBuf>,
     /// Print help and exit.
@@ -56,11 +53,6 @@ impl Cli {
                     }
                     cli.jobs = Some(n);
                 }
-                "--intra-jobs" => {
-                    let v = it.next().ok_or("--intra-jobs needs a value")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad intra-job count: {v}"))?;
-                    cli.intra_jobs = Some(n);
-                }
                 "--csv" => {
                     let v = it.next().ok_or("--csv needs a directory")?;
                     cli.csv_dir = Some(PathBuf::from(v));
@@ -84,9 +76,6 @@ impl Cli {
         }
         if let Some(jobs) = self.jobs {
             opts.jobs = jobs;
-        }
-        if let Some(intra_jobs) = self.intra_jobs {
-            opts.intra_jobs = intra_jobs;
         }
         opts
     }
@@ -120,14 +109,10 @@ impl Cli {
 pub fn usage() -> String {
     format!(
         "repro — regenerate the paper's tables and figures\n\n\
-         USAGE: repro [IDS...] [--quick] [--seed N] [--jobs N] [--intra-jobs N]\n\
-         \x20              [--csv DIR]\n\
+         USAGE: repro [IDS...] [--quick] [--seed N] [--jobs N] [--csv DIR]\n\
          \x20      repro list\n\n\
          --jobs N     worker threads per sweep (default: one per core;\n\
-         \x20            1 = sequential; tables are identical either way)\n\
-         --intra-jobs N  shard executors inside each federated simulation\n\
-         \x20            (default 1 = the sequential oracle; 0 = one per\n\
-         \x20            core; tables are identical either way)\n\n\
+         \x20            1 = sequential; tables are identical either way)\n\n\
          Experiments (default: all):\n{}\n",
         listing()
     )
@@ -138,15 +123,7 @@ pub fn listing() -> String {
     all()
         .iter()
         .map(|e| {
-            // `[intra-jobs]` marks the federated experiments whose runs
-            // actually exercise the intra-run threaded executor; CI
-            // enumerates them mechanically (grep) for the sanitizer and
-            // CSV-determinism jobs.
-            let marker = match (e.federated, e.intra_jobs) {
-                (true, true) => "  [federated] [intra-jobs]",
-                (true, false) => "  [federated]",
-                _ => "",
-            };
+            let marker = if e.federated { "  [federated]" } else { "" };
             format!(
                 "  {:4} {}  [{} quick / {} full sweep points]{}",
                 e.id, e.title, e.sweep_quick, e.sweep_full, marker
@@ -181,7 +158,6 @@ fn peak_rss_mib() -> Option<f64> {
 pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), String> {
     let opts = cli.options();
     let jobs = opts.effective_jobs();
-    let intra_jobs = opts.intra_jobs;
     if let Some(dir) = &cli.csv_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
@@ -215,7 +191,7 @@ pub fn run(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), String> {
         };
         writeln!(
             out,
-            "    ({secs:.1}s wall, {peak}{events} events, {events_per_sec:.0} events/s, jobs={jobs}, intra-jobs={intra_jobs})"
+            "    ({secs:.1}s wall, {peak}{events} events, {events_per_sec:.0} events/s, jobs={jobs})"
         )
         .map_err(|e| e.to_string())?;
     }
@@ -268,23 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_jobs_flag_parses_and_defaults_sequential() {
-        let cli = Cli::parse(["--intra-jobs", "2"].map(String::from)).unwrap();
-        assert_eq!(cli.intra_jobs, Some(2));
-        assert_eq!(cli.options().intra_jobs, 2);
-        // 0 is valid: one executor per core, resolved inside the sim.
-        let cli = Cli::parse(["--intra-jobs", "0"].map(String::from)).unwrap();
-        assert_eq!(cli.options().intra_jobs, 0);
-        // Default: the sequential oracle.
-        let cli = Cli::parse(std::iter::empty::<String>()).unwrap();
-        assert_eq!(cli.intra_jobs, None);
-        assert_eq!(cli.options().intra_jobs, 1);
-        // Garbage and missing values are rejected.
-        assert!(Cli::parse(["--intra-jobs", "many"].map(String::from)).is_err());
-        assert!(Cli::parse(["--intra-jobs".to_string()]).is_err());
-    }
-
-    #[test]
     fn run_prints_timing_line_and_writes_no_file() {
         let entries = || {
             let mut names: Vec<_> = std::fs::read_dir(".")
@@ -305,7 +264,7 @@ mod tests {
         run(&cli, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("s wall, "), "timing line printed: {text}");
-        assert!(text.contains(" events/s, jobs=1, intra-jobs=1)"), "{text}");
+        assert!(text.contains(" events/s, jobs=1)"), "{text}");
         if cfg!(target_os = "linux") && reset_peak_rss() {
             assert!(text.contains(" MiB peak, "), "peak memory printed: {text}");
         }
@@ -350,15 +309,8 @@ mod tests {
                 "{} federated marker mismatch",
                 e.id
             );
-            assert_eq!(
-                line.contains("[intra-jobs]"),
-                e.intra_jobs,
-                "{} intra-jobs marker mismatch",
-                e.id
-            );
         }
         assert!(listing().contains("[federated]"));
-        assert!(listing().contains("[intra-jobs]"));
     }
 
     #[test]

@@ -94,7 +94,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
                 load_policy(),
                 RecoveryPolicy::default(),
                 SimDuration::from_secs(10),
-                opts.intra_jobs,
                 n_per_shard * s as u32,
                 warmup,
                 measure,

@@ -97,7 +97,6 @@ fn simulate(opts: &ExpOptions, shards: usize, staleness_s: u64) -> FedLoadResult
         ProvisioningPolicy::default(),
         recovery,
         SimDuration::from_secs(staleness_s),
-        opts.intra_jobs,
         n_per_shard * shards as u32,
         warmup,
         measure,

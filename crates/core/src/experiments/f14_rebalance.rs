@@ -83,9 +83,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             .seed(opts.seed)
             .staleness(SimDuration::from_secs(10))
             .build();
-        // Honored until the first migration is scheduled below pins the
-        // run sequential; kept so F14 exercises the knob's fallback path.
-        sim.set_intra_jobs(opts.intra_jobs);
         let start = SimTime::from_secs(1);
         let victims: Vec<_> = sim.initial_vms(0)[..moves as usize].to_vec();
         for (i, vm) in victims.into_iter().enumerate() {
@@ -98,6 +95,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             sim.run_for(SimDuration::from_secs(60));
         }
         sim.check_store_invariants().expect("ledger conserved");
+        debug_assert_eq!(sim.check_ledger_reservations(), Ok(()));
         let reports = sim.migration_reports();
         let mut durations: Vec<f64> = reports
             .iter()

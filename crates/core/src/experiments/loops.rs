@@ -247,7 +247,6 @@ pub fn fed_closed_loop(
     policy: ProvisioningPolicy,
     recovery: RecoveryPolicy,
     staleness: SimDuration,
-    intra_jobs: usize,
     n: u32,
     warmup: SimDuration,
     measure: SimDuration,
@@ -260,7 +259,6 @@ pub fn fed_closed_loop(
         .recovery(recovery)
         .staleness(staleness)
         .build();
-    sim.set_intra_jobs(intra_jobs);
     let mut router = Router::new(RouterPolicy::LeastLoaded);
     let submit = |sim: &mut FedSim, at: SimTime, s: usize| {
         let org = sim.org(s);
@@ -363,6 +361,7 @@ pub fn fed_closed_loop(
     };
     let stats = sim.store_stats();
     debug_assert!(sim.check_store_invariants().is_ok());
+    debug_assert_eq!(sim.check_ledger_reservations(), Ok(()));
     FedLoadResult {
         vms_per_hour: completed_in_window as f64 / measure.as_secs_f64() * 3_600.0,
         mean_latency_s: if latency_n == 0 {
@@ -400,7 +399,7 @@ pub fn open_loop(
 /// experiments build their own [`Scenario`] (carrying a fault plan and a
 /// failure policy) and reuse the loop so faulty and fault-free runs see
 /// identical offered load. Per-task results are read from the returned
-/// sim's trace, so the scenario must collect one (the default).
+/// sim's trace.
 pub fn open_loop_on(
     mut sim: CloudSim,
     mode: CloneMode,

@@ -59,11 +59,8 @@ pub struct ExpOptions {
     /// `1` = fully sequential. Output tables are byte-identical at every
     /// value — parallelism only changes wall-clock (see [`crate::exec`]).
     pub jobs: usize,
-    /// Worker threads *inside* each federated simulation: the number of
-    /// shard executors driving one `FedSim` concurrently (conservative
-    /// shard-lookahead execution). `0` = one per available core, `1` =
-    /// the sequential oracle loop. Like `jobs`, output tables are
-    /// byte-identical at every value.
+    /// Ignored: shards always step in `(time, shard, seq)` order; removed
+    /// by the next benchmark change.
     pub intra_jobs: usize,
 }
 
@@ -90,12 +87,6 @@ impl ExpOptions {
     /// Returns a copy with an explicit job count.
     pub fn with_jobs(self, jobs: usize) -> Self {
         ExpOptions { jobs, ..self }
-    }
-
-    /// Returns a copy with an explicit intra-simulation shard-executor
-    /// count for federated experiments.
-    pub fn with_intra_jobs(self, intra_jobs: usize) -> Self {
-        ExpOptions { intra_jobs, ..self }
     }
 
     /// The concrete worker count: `jobs`, with `0` resolved to the number
@@ -134,12 +125,6 @@ pub struct Experiment {
     /// Whether the experiment drives the federated multi-shard model
     /// (`cpsim-federation`) rather than a single control plane.
     pub federated: bool,
-    /// Whether the experiment's federated runs actually exercise the
-    /// intra-run threaded executor (`--intra-jobs`). False for federated
-    /// experiments that schedule cross-shard migrations, which pin the
-    /// run to the sequential executor. `repro list` marks these
-    /// `[intra-jobs]` so CI can enumerate them mechanically.
-    pub intra_jobs: bool,
 }
 
 impl Experiment {
@@ -165,7 +150,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 3,
             sweep_full: 3,
             federated: false,
-            intra_jobs: false,
             run: t1_environments::run,
         },
         Experiment {
@@ -174,7 +158,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 3,
             sweep_full: 3,
             federated: false,
-            intra_jobs: false,
             run: f1_opmix::run,
         },
         Experiment {
@@ -183,7 +166,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 3,
             sweep_full: 3,
             federated: false,
-            intra_jobs: false,
             run: f2_arrivals::run,
         },
         Experiment {
@@ -192,7 +174,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 1,
             sweep_full: 1,
             federated: false,
-            intra_jobs: false,
             run: f3_latency_split::run,
         },
         Experiment {
@@ -201,7 +182,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 9,
             sweep_full: 30,
             federated: false,
-            intra_jobs: false,
             run: f4_throughput::run,
         },
         Experiment {
@@ -210,7 +190,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 3,
             sweep_full: 7,
             federated: false,
-            intra_jobs: false,
             run: f5_utilization::run,
         },
         Experiment {
@@ -219,7 +198,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 3,
             sweep_full: 3,
             federated: false,
-            intra_jobs: false,
             run: f6_lifetimes::run,
         },
         Experiment {
@@ -228,7 +206,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 12,
             sweep_full: 28,
             federated: false,
-            intra_jobs: false,
             run: f7_vapp_scaling::run,
         },
         Experiment {
@@ -237,7 +214,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 6,
             sweep_full: 11,
             federated: false,
-            intra_jobs: false,
             run: f8_reconfig::run,
         },
         Experiment {
@@ -246,7 +222,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 4,
             sweep_full: 4,
             federated: false,
-            intra_jobs: false,
             run: f9_queueing::run,
         },
         Experiment {
@@ -255,7 +230,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 1,
             sweep_full: 1,
             federated: false,
-            intra_jobs: false,
             run: t2_breakdown::run,
         },
         Experiment {
@@ -264,7 +238,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 4,
             sweep_full: 8,
             federated: true,
-            intra_jobs: true,
             run: f10_scaleout::run,
         },
         Experiment {
@@ -273,7 +246,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 2,
             sweep_full: 4,
             federated: false,
-            intra_jobs: false,
             run: f11_heartbeat::run,
         },
         Experiment {
@@ -282,7 +254,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 4,
             sweep_full: 8,
             federated: false,
-            intra_jobs: false,
             run: f12_availability::run,
         },
         Experiment {
@@ -291,7 +262,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 1,
             sweep_full: 1,
             federated: false,
-            intra_jobs: false,
             run: t3_faults::run,
         },
         Experiment {
@@ -300,7 +270,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 5,
             sweep_full: 7,
             federated: true,
-            intra_jobs: true,
             run: f13_conflicts::run,
         },
         Experiment {
@@ -309,9 +278,6 @@ pub fn all() -> Vec<Experiment> {
             sweep_quick: 3,
             sweep_full: 5,
             federated: true,
-            // Rebalance schedules cross-shard migrations, which force
-            // the sequential executor regardless of --intra-jobs.
-            intra_jobs: false,
             run: f14_rebalance::run,
         },
     ]

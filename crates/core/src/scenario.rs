@@ -24,7 +24,6 @@ pub struct Scenario {
     topology: Topology,
     workload: Option<WorkloadSpec>,
     policy: ProvisioningPolicy,
-    collect_trace: bool,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -43,7 +42,6 @@ impl Scenario {
             topology,
             workload: None,
             policy: ProvisioningPolicy::default(),
-            collect_trace: true,
             fault_plan: None,
         }
     }
@@ -75,12 +73,6 @@ impl Scenario {
     /// Replaces the workload (or removes it with `None`).
     pub fn workload(mut self, workload: Option<WorkloadSpec>) -> Self {
         self.workload = workload;
-        self
-    }
-
-    /// Enables/disables per-operation trace collection (default on).
-    pub fn collect_trace(mut self, on: bool) -> Self {
-        self.collect_trace = on;
         self
     }
 
@@ -130,8 +122,7 @@ impl Scenario {
             _ => Vec::new(),
         };
 
-        let mut stack = MgmtStack::new(plane, director, org, hosts, datastores, templates, Forward);
-        stack.collect_trace = self.collect_trace;
+        let stack = MgmtStack::new(plane, director, org, hosts, datastores, templates, Forward);
         CloudSim::assemble(stack, generator, fault_events)
     }
 }

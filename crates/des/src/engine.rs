@@ -137,12 +137,9 @@ impl<M: Model> Simulation<M> {
         self.model
     }
 
-    /// The timestamp of the next pending event, if any.
-    ///
-    /// This is the shard-lookahead primitive for conservative parallel
-    /// execution: a partitioned runner publishes it as the shard's lower
-    /// bound on future shared-state interaction before dispatching each
-    /// event (see `cpsim-federation`).
+    /// The timestamp of the next pending event, if any. A driver that
+    /// steps several simulations in one global time order picks the
+    /// next one by it (see `cpsim-federation`).
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.next_time()
     }

@@ -1,17 +1,15 @@
 //! The [`FedSim`] driver: N control-plane shards, each on its own
 //! discrete-event kernel, coordinating through the shared
-//! [`PlacementStore`](crate::store::PlacementStore).
+//! [`PlacementStore`].
 //!
 //! Each shard is a full [`MgmtStack`] — plane, director, trace — the
 //! same stack the single-plane driver runs, on a **private** event
 //! queue. The canonical event order of a federated run is ascending
 //! `(virtual time, shard index, per-shard sequence)`; a coordinator
 //! pseudo-shard (index = shard count) carries the cross-shard migration
-//! machinery and sorts after every real shard at equal time. Because the
-//! order is defined per shard rather than by a global arrival sequence,
-//! it is *independent of how the shards are executed*: the sequential
-//! scan loop (the oracle) and the conservative parallel runner (the
-//! private `runner` module) produce byte-identical results.
+//! machinery and sorts after every real shard at equal time. The driver
+//! steps whichever queue holds the smallest `(time, index)`, one event at
+//! a time.
 //!
 //! The one thing the federation adds to each stack is its report hook,
 //! the shard's ledger (`ShardLedger`). It sees every finished task after
@@ -31,12 +29,11 @@
 //!    window, each shard folds foreign commits on the shared pool into
 //!    its local inventory mirror (and pays CPU/DB time for the refresh).
 //! 2. **Cross-shard migration**: a two-phase evacuate → handoff → admit
-//!    protocol driven by tagged raw operations. Runs with migrations
-//!    scheduled execute sequentially: migration events hop between
-//!    shards and would invalidate the lookahead the parallel runner
-//!    relies on.
+//!    protocol driven by tagged raw operations.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use cpsim_cloud::{CloudDirector, CloudReport, CloudRequest};
 use cpsim_des::{EventQueue, FastMap, Model, SimDuration, SimTime, Simulation};
@@ -44,9 +41,7 @@ use cpsim_inventory::{DatastoreId, HostId, OrgId, VappId, VmId};
 use cpsim_mgmt::{CloneMode, ControlPlane, MgmtEvent, OpKind, Operation, TaskReport};
 use cpsim_workload::{MgmtStack, ReportHook, StackEvent, TraceLog};
 
-use crate::runner;
-use crate::store::{OpenCommit, StoreStats};
-use crate::turnstile::StoreCell;
+use crate::store::{OpenCommit, PlacementStore, StoreStats};
 
 /// Task tags at or above this value are reserved for migration
 /// operations; the cloud director never sees their reports.
@@ -101,10 +96,10 @@ enum CoordEvent {
 /// migration-tagged reports from the director to the coordinator.
 pub(crate) struct ShardLedger {
     pub(crate) shard: usize,
-    pub(crate) cell: Arc<StoreCell>,
+    pub(crate) store: Rc<RefCell<PlacementStore>>,
     /// Local ids belonging to the shared pool: placements touching
     /// neither set never recorded an [`OpenCommit`], so settlement can
-    /// skip the store (and the turnstile) entirely.
+    /// skip the store entirely.
     pub(crate) shared_hosts: Vec<HostId>,
     pub(crate) shared_ds: Vec<DatastoreId>,
     /// Open ledger reservations held by completed placements, keyed by
@@ -112,13 +107,13 @@ pub(crate) struct ShardLedger {
     // cpsim-lint: allow(no-unordered-iteration): keyed insert/remove only; never iterated
     pub(crate) reservations: FastMap<VmId, OpenCommit>,
     /// Completed migration-tagged task reports, drained by the
-    /// coordinator after each sequential step (empty in threaded runs).
+    /// coordinator after each step.
     pub(crate) mig_outbox: Vec<TaskReport>,
 }
 
 impl ShardLedger {
     /// Settles the shared-pool ledger for a finished task.
-    fn settle_ledger(&mut self, now: SimTime, r: &TaskReport) {
+    fn settle_ledger(&mut self, r: &TaskReport) {
         match r.kind {
             "create-vm" | "clone-full" | "clone-linked" => {
                 let Some((host, ds)) = r.placement else {
@@ -126,33 +121,25 @@ impl ShardLedger {
                 };
                 if !self.shared_hosts.contains(&host) && !self.shared_ds.contains(&ds) {
                     // Home placement: the gate never recorded an open
-                    // commit, so there is nothing to settle — and no
-                    // reason to serialize through the turnstile.
+                    // commit, so there is nothing to settle.
                     return;
                 }
-                let shard = self.shard;
-                let succeeded = r.error.is_none() && !r.aborted;
-                let keep = self.cell.with(shard, now.as_micros(), |st| {
-                    let oc = st.take_open(shard, host, ds)?;
-                    match (succeeded, r.produced_vm) {
-                        (true, Some(vm)) => Some((vm, oc)),
-                        _ => {
-                            st.release(shard, &oc);
-                            None
-                        }
+                let mut st = self.store.borrow_mut();
+                let Some(oc) = st.take_open(self.shard, host, ds) else {
+                    return;
+                };
+                match r.produced_vm {
+                    Some(vm) if r.error.is_none() && !r.aborted => {
+                        self.reservations.insert(vm, oc);
                     }
-                });
-                if let Some((vm, oc)) = keep {
-                    self.reservations.insert(vm, oc);
+                    _ => st.release(self.shard, &oc),
                 }
             }
             "destroy-vm" => {
                 let Some(vm) = r.target_vm else { return };
                 if r.error.is_none() && !r.aborted {
                     if let Some(oc) = self.reservations.remove(&vm) {
-                        let shard = self.shard;
-                        self.cell
-                            .with(shard, now.as_micros(), |st| st.release(shard, &oc));
+                        self.store.borrow_mut().release(self.shard, &oc);
                     }
                 }
             }
@@ -162,8 +149,8 @@ impl ShardLedger {
 }
 
 impl ReportHook for ShardLedger {
-    fn on_report(&mut self, now: SimTime, r: TaskReport) -> Option<TaskReport> {
-        self.settle_ledger(now, &r);
+    fn on_report(&mut self, r: TaskReport) -> Option<TaskReport> {
+        self.settle_ledger(&r);
         if r.tag >= MIG_TAG_BASE {
             self.mig_outbox.push(r);
             None
@@ -267,25 +254,19 @@ struct Coordinator {
 ///
 /// Construct via [`FedScenario`](crate::FedScenario); drive with
 /// [`run_until`](FedSim::run_until); inspect per shard through the
-/// accessors. [`set_intra_jobs`](FedSim::set_intra_jobs) selects how many
-/// worker threads simulate the shards concurrently — the results are
-/// byte-identical at every setting.
+/// accessors.
 pub struct FedSim {
     shard_sims: Vec<Simulation<ShardCore>>,
     coord: Coordinator,
-    cell: Arc<StoreCell>,
+    store: Rc<RefCell<PlacementStore>>,
     now: SimTime,
-    intra_jobs: usize,
-    /// Set once a migration is scheduled; forces the sequential runner
-    /// for the rest of the run (migration events hop between shards).
-    migrations_used: bool,
 }
 
 impl FedSim {
     /// Internal constructor used by [`FedScenario`](crate::FedScenario).
     pub(crate) fn assemble(
         shards: Vec<ShardCore>,
-        cell: Arc<StoreCell>,
+        store: Rc<RefCell<PlacementStore>>,
         handoff_delay: SimDuration,
     ) -> Self {
         let shard_count = shards.len();
@@ -316,53 +297,24 @@ impl FedSim {
                 reports: Vec::new(),
                 events: 0,
             },
-            cell,
+            store,
             now: SimTime::ZERO,
-            intra_jobs: 1,
-            migrations_used: false,
         }
     }
 
-    /// Sets the number of worker threads used to simulate shards
-    /// concurrently *within* this run: `1` (the default) selects the
-    /// sequential oracle loop, `0` means one per available core. Any
-    /// setting produces byte-identical results; runs with cross-shard
-    /// migrations always execute sequentially.
-    pub fn set_intra_jobs(&mut self, n: usize) {
-        self.intra_jobs = n;
-    }
-
-    fn effective_intra_jobs(&self) -> usize {
-        let n = if self.intra_jobs == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        } else {
-            self.intra_jobs
-        };
-        n.min(self.shard_sims.len())
-    }
+    /// Ignored: shards always step in `(time, shard, seq)` order; removed
+    /// by the next benchmark change.
+    pub fn set_intra_jobs(&mut self, _n: usize) {}
 
     /// Runs until `horizon` inclusive (events strictly after it remain
-    /// queued). Horizons compose like the kernel's:
-    /// `run_until(a); run_until(b)` with `a <= b` ≡ `run_until(b)`.
+    /// queued), one event at a time, globally ordered by `(time, shard
+    /// index)` with the coordinator pseudo-shard last. Horizons compose
+    /// like the kernel's: `run_until(a); run_until(b)` with `a <= b` ≡
+    /// `run_until(b)`.
     pub fn run_until(&mut self, horizon: SimTime) {
-        let jobs = self.effective_intra_jobs();
-        if jobs > 1 && !self.migrations_used {
-            debug_assert!(self.coord.queue.is_empty());
-            runner::run_threaded(&mut self.shard_sims, &self.cell, horizon, jobs);
-        } else {
-            self.run_sequential(horizon);
-        }
-        if horizon > self.now {
-            self.now = horizon;
-        }
-    }
-
-    /// The sequential oracle: one event at a time, globally ordered by
-    /// `(time, shard index)` with the coordinator pseudo-shard last.
-    fn run_sequential(&mut self, horizon: SimTime) {
         let coord_idx = self.shard_sims.len();
         loop {
-            let mut best = runner::next_shard(&self.shard_sims, horizon);
+            let mut best = next_shard(&self.shard_sims, horizon);
             if let Some(t) = self.coord.queue.next_time() {
                 if t <= horizon && best.is_none_or(|(bt, bs)| (t, coord_idx) < (bt, bs)) {
                     best = Some((t, coord_idx));
@@ -380,6 +332,9 @@ impl FedSim {
             // Advance the clock to the horizon and flush the per-shard
             // contribution to the process-wide event counter.
             sim.run_until(horizon);
+        }
+        if horizon > self.now {
+            self.now = horizon;
         }
     }
 
@@ -402,7 +357,7 @@ impl FedSim {
                 let Some(m) = self.coord.migrations.get(&id).copied() else {
                     return;
                 };
-                self.cell.locked(|st| st.on_handoff());
+                self.store.borrow_mut().on_handoff();
                 self.shard_sims[m.dst].schedule(t, ShardEvent::MigrateAdmit(id));
             }
         }
@@ -552,7 +507,7 @@ impl FedSim {
 
     /// Aggregated placement-store statistics.
     pub fn store_stats(&self) -> StoreStats {
-        self.cell.locked(|st| st.stats())
+        self.store.borrow().stats()
     }
 
     /// Checks the shared ledger's conservation invariants.
@@ -561,7 +516,55 @@ impl FedSim {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_store_invariants(&self) -> Result<(), String> {
-        self.cell.locked(|st| st.check_invariants())
+        self.store.borrow().check_invariants()
+    }
+
+    /// Audits every shard's ledger reservations against its inventory:
+    /// each reservation names a live VM, and each live VM on a shared
+    /// host or datastore (templates aside) holds a reservation. A VM that
+    /// an in-flight task is still creating or destroying is exempt: its
+    /// capacity is an open commit, or a reservation that the task's
+    /// report will release. Pre-installed VMs sit on home inventory, so
+    /// they never hold one, and a one-shard federation, which installs no
+    /// gate, holds none at all.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first shard whose ledger disagrees
+    /// with its inventory.
+    pub fn check_ledger_reservations(&self) -> Result<(), String> {
+        for (s, sim) in self.shard_sims.iter().enumerate() {
+            let stack = &sim.model().stack;
+            if !stack.plane.placement_gate_enabled() {
+                continue;
+            }
+            let ledger = &stack.hook;
+            let inv = stack.plane.inventory();
+            let busy: BTreeSet<VmId> = stack.plane.vms_in_flight().collect();
+            // Reservations accounted for: a live VM's, or one a destroy
+            // still in flight will release.
+            let mut matched = 0;
+            for (vm, v) in inv.vms() {
+                let reserved = ledger.reservations.contains_key(&vm);
+                matched += usize::from(reserved);
+                let shared = ledger.shared_hosts.contains(&v.host)
+                    || ledger.shared_ds.contains(&v.datastore);
+                if shared && !reserved && !v.is_template && !busy.contains(&vm) {
+                    return Err(format!(
+                        "shard {s}: VM {vm} on shared capacity holds no reservation"
+                    ));
+                }
+            }
+            matched += busy
+                .iter()
+                .filter(|&&vm| inv.vm(vm).is_none() && ledger.reservations.contains_key(&vm))
+                .count();
+            let stale = ledger.reservations.len() - matched;
+            if stale > 0 {
+                return Err(format!("shard {s}: {stale} reservation(s) name no live VM"));
+            }
+        }
+        Ok(())
     }
 
     /// Completed cross-shard migrations, in completion order.
@@ -600,8 +603,7 @@ impl FedSim {
     /// The protocol is evacuate (destroy on `src`) → placement-store
     /// handoff (after the configured delay) → admit (linked clone of
     /// `dst`'s first template). The outcome lands in
-    /// [`migration_reports`](FedSim::migration_reports). Scheduling a
-    /// migration pins the rest of the run to the sequential executor.
+    /// [`migration_reports`](FedSim::migration_reports).
     ///
     /// # Panics
     ///
@@ -610,7 +612,6 @@ impl FedSim {
         let n = self.shard_count();
         assert!(src < n && dst < n, "shard out of range");
         assert!(at >= self.now, "migration scheduled in the past");
-        self.migrations_used = true;
         let id = self.coord.next_migration_id;
         self.coord.next_migration_id += 1;
         self.coord.migrations.insert(
@@ -625,6 +626,21 @@ impl FedSim {
         self.coord.queue.schedule(at, CoordEvent::MigrateStart(id));
         id
     }
+}
+
+/// The `(next event time, shard index)` minimum over `sims`, considering
+/// only events at or before `horizon` (matching the kernel's inclusive
+/// [`run_until`](Simulation::run_until) semantics).
+fn next_shard(sims: &[Simulation<ShardCore>], horizon: SimTime) -> Option<(SimTime, usize)> {
+    let mut best: Option<(SimTime, usize)> = None;
+    for (s, sim) in sims.iter().enumerate() {
+        if let Some(t) = sim.next_event_time() {
+            if t <= horizon && best.is_none_or(|b| (t, s) < b) {
+                best = Some((t, s));
+            }
+        }
+    }
+    best
 }
 
 impl std::fmt::Debug for FedSim {
@@ -731,42 +747,6 @@ mod tests {
         assert_ne!(run(7), run(8));
     }
 
-    /// The parallel runner is an implementation detail: any intra-jobs
-    /// setting replays the sequential oracle op-for-op.
-    #[test]
-    fn intra_jobs_do_not_change_results() {
-        let run = |intra_jobs: usize| {
-            let mut sim = FedScenario::new(contended(3)).seed(11).build();
-            sim.set_intra_jobs(intra_jobs);
-            sim.keep_task_reports(true);
-            for s in 0..3 {
-                burst(&mut sim, s, 8);
-            }
-            // Multiple slices: the turnstile is re-armed per run_until.
-            for h in 1..=4 {
-                sim.run_until(SimTime::from_secs(1_800 * h));
-            }
-            sim.check_store_invariants().unwrap();
-            assert_routing_conserved(&sim);
-            let per_shard: Vec<_> = (0..3)
-                .map(|s| {
-                    let st = sim.plane(s).stats();
-                    (
-                        sim.trace(s).records().to_vec(),
-                        sim.task_reports(s).to_vec(),
-                        sim.cloud_reports(s).to_vec(),
-                        (st.submitted(), st.completed(), st.placement_conflicts()),
-                    )
-                })
-                .collect();
-            (per_shard, sim.store_stats(), sim.events_processed())
-        };
-        let oracle = run(1);
-        assert_eq!(oracle, run(2));
-        assert_eq!(oracle, run(3));
-        assert_eq!(oracle, run(0));
-    }
-
     #[test]
     fn conflicts_resolve_to_one_winner_and_retries_complete() {
         // Nearly-full shared pool: 2 shards racing for the last slots.
@@ -818,20 +798,59 @@ mod tests {
         sim.check_store_invariants().unwrap();
     }
 
-    /// Scheduling a migration pins the run to the sequential executor
-    /// even when intra-jobs asks for threads, and still completes.
+    /// The ledger audit passes on the real settlement path and fires on a
+    /// ledger that dropped a live VM's reservation or skipped the
+    /// destroy-path release.
     #[test]
-    fn migrations_force_the_sequential_path() {
-        let mut topo = contended(2);
-        topo.initial_vms_per_shard = vec![2, 0];
-        let mut sim = FedScenario::new(topo).seed(5).build();
-        sim.set_intra_jobs(2);
-        let vm = sim.initial_vms(0)[0];
-        sim.schedule_migration(SimTime::from_secs(1), 0, 1, vm);
+    fn ledger_audit_catches_missing_and_leaked_reservations() {
+        let mut sim = FedScenario::new(contended(2)).seed(42).build();
+        burst(&mut sim, 0, 8);
+        burst(&mut sim, 1, 8);
+        // Mid-run, tasks in flight hold open commits, not reservations.
+        let mut busy_checks = 0;
+        for t in 1..=120 {
+            sim.run_until(SimTime::from_secs(t));
+            sim.check_ledger_reservations().unwrap();
+            busy_checks += usize::from(sim.plane(0).tasks_in_flight() > 0);
+        }
+        assert!(busy_checks > 0, "no audit ran with tasks in flight");
         sim.run_until(SimTime::from_hours(1));
-        assert_eq!(sim.migrations_in_flight(), 0);
-        assert_eq!(sim.migration_reports().len(), 1);
-        assert!(sim.migration_reports()[0].success);
+        sim.check_ledger_reservations().unwrap();
+        let held = sim.shard_sims[0].model().stack.hook.reservations.clone();
+        let &vm = held
+            .keys()
+            .min()
+            .expect("no shared-pool placement to audit");
+
+        fn reservations(sim: &mut FedSim) -> &mut FastMap<VmId, OpenCommit> {
+            &mut sim.shard_sims[0].model_mut().stack.hook.reservations
+        }
+        let oc = reservations(&mut sim).remove(&vm).unwrap();
+        let err = sim.check_ledger_reservations().unwrap_err();
+        assert!(
+            err.contains(&format!("VM {vm} on shared capacity")),
+            "{err}"
+        );
+        reservations(&mut sim).insert(vm, oc);
+
+        // Delete every vApp on shard 0; the destroys release the ledger.
+        let vapps: Vec<_> = sim.cloud_reports(0).iter().filter_map(|r| r.vapp).collect();
+        let now = sim.now();
+        for vapp in vapps {
+            sim.schedule_request(now, 0, CloudRequest::DeleteVapp { vapp });
+        }
+        sim.run_until(SimTime::from_hours(2));
+        assert_eq!(sim.plane(0).tasks_in_flight(), 0);
+        assert!(sim.shard_sims[0].model().stack.hook.reservations.is_empty());
+        sim.check_ledger_reservations().unwrap();
+
+        // A ledger that skipped the destroy-path release keeps them all.
+        *reservations(&mut sim) = held;
+        let err = sim.check_ledger_reservations().unwrap_err();
+        assert!(
+            err.contains("shard 0") && err.contains("name no live VM"),
+            "{err}"
+        );
     }
 
     #[test]

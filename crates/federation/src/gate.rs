@@ -1,31 +1,29 @@
 //! [`StoreGate`]: the per-shard [`PlacementGate`] implementation that
 //! binds a [`ControlPlane`](cpsim_mgmt::ControlPlane) to the federation's
-//! shared [`PlacementStore`](crate::store::PlacementStore).
+//! shared [`PlacementStore`].
 //!
 //! Home placements (neither the host nor the datastore is in the shared
 //! pool) commit trivially — the shard owns them outright and never touch
-//! the shared store at all, which is what gives the parallel runner its
-//! lookahead. Shared-pool placements go through the ledger behind the
-//! [`StoreCell`] turnstile: an accepted commit is recorded as an
+//! the shared store at all. Shared-pool placements go through the
+//! ledger: an accepted commit is recorded as an
 //! [`OpenCommit`] for the shard to settle when the task finishes; a
 //! rejected one leaves the shard's mirror untouched — only the periodic
 //! staleness-windowed sync refreshes it, so a loser keeps conflicting
 //! until a sync lands and the retried scan steers elsewhere.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use cpsim_des::SimTime;
 use cpsim_inventory::{DatastoreId, HostId, Inventory};
 use cpsim_mgmt::{GateDecision, PlacementGate};
 
-use crate::store::OpenCommit;
-use crate::turnstile::StoreCell;
+use crate::store::{OpenCommit, PlacementStore};
 
 /// One shard's view onto the shared placement store.
 pub struct StoreGate {
     shard: usize,
-    cell: Arc<StoreCell>,
+    store: Rc<RefCell<PlacementStore>>,
     /// Local datastore id → shared-store index, for the spillover pool.
     shared_ds: BTreeMap<DatastoreId, usize>,
     /// Local host id → shared-store index.
@@ -36,13 +34,13 @@ impl StoreGate {
     /// Creates the gate for `shard` with its local-id → store-index maps.
     pub fn new(
         shard: usize,
-        cell: Arc<StoreCell>,
+        store: Rc<RefCell<PlacementStore>>,
         shared_ds: BTreeMap<DatastoreId, usize>,
         shared_hosts: BTreeMap<HostId, usize>,
     ) -> Self {
         StoreGate {
             shard,
-            cell,
+            store,
             shared_ds,
             shared_hosts,
         }
@@ -52,7 +50,6 @@ impl StoreGate {
 impl PlacementGate for StoreGate {
     fn commit(
         &mut self,
-        now: SimTime,
         inv: &mut Inventory,
         host: HostId,
         ds: DatastoreId,
@@ -62,59 +59,53 @@ impl PlacementGate for StoreGate {
         let hi = self.shared_hosts.get(&host).copied();
         let di = self.shared_ds.get(&ds).copied();
         if hi.is_none() && di.is_none() {
-            // Exclusively-owned home capacity: no coordination needed,
-            // and — crucially for the parallel runner — no store touch.
+            // Exclusively-owned home capacity: no coordination needed.
             return GateDecision::Commit;
         }
         let shard = self.shard;
-        self.cell.with(shard, now.as_micros(), |st| {
-            match st.try_commit(shard, hi, di, mem_mb, disk_gb) {
-                Ok(()) => {
-                    st.record_open(
-                        shard,
-                        host,
-                        ds,
-                        OpenCommit {
-                            host: hi,
-                            ds: di,
-                            mem_mb,
-                            disk_gb,
-                        },
-                    );
-                    GateDecision::Commit
-                }
-                Err(reason) => {
-                    // Deliberately no mirror refresh here: the shard keeps
-                    // its stale view until the next periodic sync, so the
-                    // loser's backed-off retry only succeeds if a refresh
-                    // lands inside the backoff window. Staleness is the one
-                    // coordination knob, and F13 measures exactly its cost.
-                    let _ = inv;
-                    GateDecision::Conflict(reason)
-                }
+        let mut st = self.store.borrow_mut();
+        match st.try_commit(shard, hi, di, mem_mb, disk_gb) {
+            Ok(()) => {
+                st.record_open(
+                    shard,
+                    host,
+                    ds,
+                    OpenCommit {
+                        host: hi,
+                        ds: di,
+                        mem_mb,
+                        disk_gb,
+                    },
+                );
+                GateDecision::Commit
             }
-        })
+            Err(reason) => {
+                // Deliberately no mirror refresh here: the shard keeps
+                // its stale view until the next periodic sync, so the
+                // loser's backed-off retry only succeeds if a refresh
+                // lands inside the backoff window. Staleness is the one
+                // coordination knob, and F13 measures exactly its cost.
+                let _ = inv;
+                GateDecision::Conflict(reason)
+            }
+        }
     }
 
-    fn sync(&mut self, now: SimTime, inv: &mut Inventory) {
-        let shard = self.shard;
-        let shared_ds = &self.shared_ds;
-        self.cell.with(shard, now.as_micros(), |st| {
-            for (&ds, &di) in shared_ds {
-                let delta = st.mirror_delta(shard, di);
-                if delta != 0.0 {
-                    let _ = inv.adjust_datastore_usage(ds, delta);
-                }
+    fn sync(&mut self, inv: &mut Inventory) {
+        let mut st = self.store.borrow_mut();
+        for (&ds, &di) in &self.shared_ds {
+            let delta = st.mirror_delta(self.shard, di);
+            if delta != 0.0 {
+                let _ = inv.adjust_datastore_usage(ds, delta);
             }
-            st.on_sync();
-        });
+        }
+        st.on_sync();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::PlacementStore;
     use cpsim_inventory::DatastoreSpec;
 
     /// Two shards, one stale view of a nearly-full shared datastore:
@@ -122,18 +113,18 @@ mod tests {
     /// same call, and no capacity is double-booked.
     #[test]
     fn stale_views_race_to_one_winner() {
-        let cell = Arc::new(StoreCell::new(PlacementStore::new(2), 2));
-        let di = cell.locked(|st| st.add_shared_ds(100.0));
+        let store = Rc::new(RefCell::new(PlacementStore::new(2)));
+        let di = store.borrow_mut().add_shared_ds(100.0);
 
         let build = |shard: usize| {
             let mut inv = Inventory::new();
             let ds = inv.add_datastore(DatastoreSpec::new("shared-ds-00", 100.0, 200.0));
             // This shard's own setup-time usage: 48 GiB of seeded bases.
             inv.adjust_datastore_usage(ds, 48.0).unwrap();
-            cell.locked(|st| st.seed_ds(di, shard, 48.0));
+            store.borrow_mut().seed_ds(di, shard, 48.0);
             let gate = StoreGate::new(
                 shard,
-                Arc::clone(&cell),
+                Rc::clone(&store),
                 BTreeMap::from([(ds, di)]),
                 BTreeMap::new(),
             );
@@ -143,14 +134,13 @@ mod tests {
         let (mut inv_b, ds_b, mut gate_b) = build(1);
         // Initial sync: each shard mirrors the other's 48 GiB of seeds,
         // so both local views agree with the truth (96 used, 4 free).
-        gate_a.sync(SimTime::ZERO, &mut inv_a);
-        gate_b.sync(SimTime::ZERO, &mut inv_b);
+        gate_a.sync(&mut inv_a);
+        gate_b.sync(&mut inv_b);
         let host = cpsim_inventory::EntityId::from_parts(0, 0);
 
         // Authoritative free: 100 - 96 = 4. Both shards want 3 GiB.
-        let t = SimTime::from_secs(1);
-        let a = gate_a.commit(t, &mut inv_a, host, ds_a, 1_024, 3.0);
-        let b = gate_b.commit(t, &mut inv_b, host, ds_b, 1_024, 3.0);
+        let a = gate_a.commit(&mut inv_a, host, ds_a, 1_024, 3.0);
+        let b = gate_b.commit(&mut inv_b, host, ds_b, 1_024, 3.0);
         assert_eq!(a, GateDecision::Commit);
         let GateDecision::Conflict(reason) = b else {
             panic!("second commit must lose the race");
@@ -158,13 +148,13 @@ mod tests {
         assert!(reason.contains("conflict"), "{reason}");
 
         // One winner, one open reservation, nothing double-booked.
-        cell.locked(|st| {
-            assert_eq!(st.stats().commits, 1);
-            assert_eq!(st.stats().conflicts, 1);
-            assert_eq!(st.open_len(), 1);
-            assert!(st.committed_gb(di) <= 100.0);
-            st.check_invariants().unwrap();
-        });
+        let st = store.borrow();
+        assert_eq!(st.stats().commits, 1);
+        assert_eq!(st.stats().conflicts, 1);
+        assert_eq!(st.open_len(), 1);
+        assert!(st.committed_gb(di) <= 100.0);
+        st.check_invariants().unwrap();
+        drop(st);
 
         // The loser keeps its stale view until its next periodic sync —
         // staleness is the coordination knob, so a conflict alone must
@@ -172,7 +162,7 @@ mod tests {
         let used = inv_b.datastore(ds_b).unwrap().used_gb;
         assert!((used - 96.0).abs() < 1e-9, "loser view used={used}");
         // After the sync the loser sees the winner's 3 GiB too.
-        gate_b.sync(SimTime::from_secs(2), &mut inv_b);
+        gate_b.sync(&mut inv_b);
         let used = inv_b.datastore(ds_b).unwrap().used_gb;
         assert!((used - 99.0).abs() < 1e-9, "synced loser view used={used}");
         // The winner's own view is untouched (its commit is its own
@@ -182,18 +172,16 @@ mod tests {
 
     #[test]
     fn home_placements_bypass_the_ledger() {
-        let cell = Arc::new(StoreCell::new(PlacementStore::new(2), 2));
+        let store = Rc::new(RefCell::new(PlacementStore::new(2)));
         let mut inv = Inventory::new();
         let home = inv.add_datastore(DatastoreSpec::new("s0-ds-00", 50.0, 200.0));
         let host = cpsim_inventory::EntityId::from_parts(0, 0);
-        let mut gate = StoreGate::new(0, Arc::clone(&cell), BTreeMap::new(), BTreeMap::new());
+        let mut gate = StoreGate::new(0, Rc::clone(&store), BTreeMap::new(), BTreeMap::new());
         assert_eq!(
-            gate.commit(SimTime::ZERO, &mut inv, host, home, 512, 5.0),
+            gate.commit(&mut inv, host, home, 512, 5.0),
             GateDecision::Commit
         );
-        cell.locked(|st| {
-            assert_eq!(st.stats().commits, 0);
-            assert_eq!(st.open_len(), 0);
-        });
+        assert_eq!(store.borrow().stats().commits, 0);
+        assert_eq!(store.borrow().open_len(), 0);
     }
 }

@@ -26,15 +26,11 @@
 //!   retryable conflict, handled by the plane's existing fault-recovery
 //!   machinery (bounded backoff, then abort + rollback).
 //! - [`FedScenario`] / [`FedSim`]: builder and driver. One event kernel
-//!   per shard, periodic [`StoreSync`](ShardEvent::StoreSync) ticks that
-//!   charge CPU/DB time for each refresh, and a two-phase cross-shard
-//!   migration protocol (evacuate → handoff → admit) run by a
-//!   coordinator pseudo-shard.
-//! - [`StoreCell`] and the conservative parallel runner: the shards of
-//!   one run can be simulated concurrently (`FedSim::set_intra_jobs`)
-//!   with byte-identical results — shared-store accesses are serialized
-//!   in virtual-time order through a blocking turnstile, exploiting the
-//!   staleness window as conservative lookahead.
+//!   per shard, stepped in one global `(time, shard, seq)` order,
+//!   periodic [`StoreSync`](ShardEvent::StoreSync) ticks that charge
+//!   CPU/DB time for each refresh, and a two-phase cross-shard migration
+//!   protocol (evacuate → handoff → admit) run by a coordinator
+//!   pseudo-shard.
 //! - [`Router`]: deterministic front-door policies (hash, least-loaded,
 //!   locality) for spreading requests over shards.
 //!
@@ -45,14 +41,11 @@
 pub mod driver;
 pub mod gate;
 pub mod router;
-mod runner;
 pub mod scenario;
 pub mod store;
-pub mod turnstile;
 
 pub use driver::{FedSim, MigrationReport, ShardEvent, MIG_TAG_BASE};
 pub use gate::StoreGate;
 pub use router::{Router, RouterPolicy};
 pub use scenario::{FedScenario, FedTopology};
 pub use store::{OpenCommit, PlacementStore, StoreStats};
-pub use turnstile::StoreCell;

@@ -2,8 +2,9 @@
 //! — N control-plane shards over partitioned home inventory plus a shared
 //! spillover pool — and build a runnable [`FedSim`].
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use cpsim_cloud::{CloudDirector, ProvisioningPolicy};
 use cpsim_des::{FastMap, SimDuration, Streams};
@@ -15,7 +16,6 @@ use cpsim_workload::{install_templates, MgmtStack};
 use crate::driver::{FedSim, ShardCore, ShardLedger};
 use crate::gate::StoreGate;
 use crate::store::PlacementStore;
-use crate::turnstile::StoreCell;
 
 /// A federated topology: per-shard home inventory plus a shared
 /// spillover pool registered in every shard.
@@ -166,12 +166,12 @@ impl FedScenario {
         let t = &self.topology;
         t.validate();
         let streams = Streams::new(self.seed);
-        let cell = Arc::new(StoreCell::new(PlacementStore::new(t.shards), t.shards));
+        let store = Rc::new(RefCell::new(PlacementStore::new(t.shards)));
         let shared_ds_idx: Vec<usize> = (0..t.shared_ds)
-            .map(|_| cell.locked(|st| st.add_shared_ds(t.shared_ds_capacity_gb)))
+            .map(|_| store.borrow_mut().add_shared_ds(t.shared_ds_capacity_gb))
             .collect();
         let shared_host_idx: Vec<usize> = (0..t.shared_hosts)
-            .map(|_| cell.locked(|st| st.add_shared_host(t.host_mem_mb)))
+            .map(|_| store.borrow_mut().add_shared_host(t.host_mem_mb))
             .collect();
 
         let mut shards = Vec::with_capacity(t.shards);
@@ -270,7 +270,7 @@ impl FedScenario {
                         .datastore(local)
                         .map(|d| d.used_gb)
                         .unwrap_or(0.0);
-                    cell.locked(|st| st.seed_ds(shared_ds_idx[k], s, used));
+                    store.borrow_mut().seed_ds(shared_ds_idx[k], s, used);
                     ds_map.insert(local, shared_ds_idx[k]);
                 }
                 let mut host_map = BTreeMap::new();
@@ -279,7 +279,7 @@ impl FedScenario {
                 }
                 plane.set_placement_gate(Box::new(StoreGate::new(
                     s,
-                    Arc::clone(&cell),
+                    Rc::clone(&store),
                     ds_map,
                     host_map,
                 )));
@@ -288,7 +288,7 @@ impl FedScenario {
 
             let ledger = ShardLedger {
                 shard: s,
-                cell: Arc::clone(&cell),
+                store: Rc::clone(&store),
                 shared_hosts: shared_hosts_local,
                 shared_ds: shared_ds_local,
                 reservations: FastMap::default(),
@@ -310,6 +310,6 @@ impl FedScenario {
             }
         }
 
-        FedSim::assemble(shards, cell, self.handoff_delay)
+        FedSim::assemble(shards, store, self.handoff_delay)
     }
 }

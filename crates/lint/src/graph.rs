@@ -1,11 +1,10 @@
 //! The workspace symbol graph: a lightweight item parser over the masked
 //! token stream.
 //!
-//! The per-file tokenizer (PR 4) can police single-file patterns, but the
-//! parallelism invariants added with the federation turnstile are
-//! *graph-shaped*: "no panic is reachable from a hot entry point through
-//! any callee" or "every store mutation is dominated by the turnstile" are
-//! properties of call chains that cross files and crates. This module
+//! The per-file tokenizer can police single-file patterns, but some
+//! invariants are *graph-shaped*: "no panic is reachable from a hot entry
+//! point through any callee" is a property of call chains that cross
+//! files and crates. This module
 //! parses just enough structure out of the masked code — `fn` items with
 //! body spans, `impl`/`trait` blocks, `struct`/`enum` definitions, `use`
 //! aliases — to build a symbol table and a *conservative* call graph:

@@ -1,4 +1,4 @@
-//! The graph-shaped rule families R7–R9, computed over the workspace
+//! The graph-shaped rule families R7 and R8, computed over the workspace
 //! symbol graph and merged into per-file reports by the scan assembler
 //! (which applies the usual profile, test-exemption, and suppression
 //! machinery to every hit).
@@ -12,18 +12,10 @@
 //!   to the stream-source module (`impl Streams`), streams may not be
 //!   cloned, `Streams::new(<literal>)` is confined to scenario builders,
 //!   and `SimRng` may not sit in a shared cell (`Arc`/`Mutex`/`RwLock`).
-//! - **R9 store/turnstile protocol**: a call site invoking a
-//!   `PlacementStore` `&mut self` method (the mutator set is *computed*
-//!   from the parsed impl, not hand-listed) must be dominated by the
-//!   turnstile: lexically inside a `cell.with(...)`/`cell.locked(...)`
-//!   guard, inside a helper that receives `&mut PlacementStore` (the
-//!   reference can only originate from a guard), inside the fn that
-//!   constructs the store (assembly — the store is not shared yet), or in
-//!   the defining file itself.
 
 use std::collections::BTreeSet;
 
-use crate::graph::{CallKind, SymbolGraph};
+use crate::graph::SymbolGraph;
 use crate::resolve::{entry_fns, HOT_ENTRY_POINTS};
 use crate::rules::{indexing_sites, panic_sites, RawViolation, RuleId};
 use crate::source::SourceFile;
@@ -37,7 +29,7 @@ pub struct GraphConfig {
     pub index_checks: bool,
 }
 
-/// Runs R7–R9 over the graph. `files` must be the slice the graph was
+/// Runs R7 and R8 over the graph. `files` must be the slice the graph was
 /// built over; the result is indexed the same way.
 pub fn check(
     g: &SymbolGraph,
@@ -47,7 +39,6 @@ pub fn check(
     let mut out: Vec<Vec<(RuleId, RawViolation)>> = vec![Vec::new(); files.len()];
     panic_reachability(g, files, cfg, &mut out);
     rng_discipline(g, files, &mut out);
-    store_protocol(g, files, &mut out);
     for file in &mut out {
         file.sort_by_key(|(_, v)| v.byte);
     }
@@ -246,129 +237,4 @@ fn strip_ws_prefix<'a>(b: &'a [u8], prefix: &[u8]) -> Option<&'a [u8]> {
     } else {
         None
     }
-}
-
-/// R9: `PlacementStore` mutation must be dominated by the turnstile.
-fn store_protocol(g: &SymbolGraph, files: &[&SourceFile], out: &mut [Vec<(RuleId, RawViolation)>]) {
-    // The mutator set is computed from the parsed `impl PlacementStore`:
-    // every `&mut self` method. No hand-maintained list to rot.
-    let mutators: BTreeSet<&str> = g
-        .fns
-        .iter()
-        .filter(|f| {
-            f.self_ty.as_deref() == Some("PlacementStore")
-                && !f.is_test
-                && f.params.trim_start().starts_with("&mut self")
-        })
-        .map(|f| f.name.as_str())
-        .collect();
-    if mutators.is_empty() {
-        return;
-    }
-    let store_files: BTreeSet<usize> = g
-        .fns
-        .iter()
-        .filter(|f| f.self_ty.as_deref() == Some("PlacementStore"))
-        .map(|f| f.file)
-        .collect();
-
-    // Turnstile guard spans per file: the balanced-paren argument span of
-    // every `.with(...)` / `.locked(...)` whose receiver names a cell.
-    let mut guard_spans: Vec<Vec<(usize, usize)>> = vec![Vec::new(); files.len()];
-    for call in &g.calls {
-        if call.kind != CallKind::Method {
-            continue;
-        }
-        if call.name != "with" && call.name != "locked" {
-            continue;
-        }
-        let Some(recv) = call.receiver.as_deref() else {
-            continue;
-        };
-        if !recv.to_ascii_lowercase().contains("cell") {
-            continue;
-        }
-        let fi = g.fns[call.caller].file;
-        let cb = files[fi].code.as_bytes();
-        let mut open = call.byte + call.name.len();
-        while open < cb.len() && cb[open] != b'(' {
-            open += 1;
-        }
-        if open < cb.len() {
-            guard_spans[fi].push((open, match_delim_paren(cb, open)));
-        }
-    }
-
-    for call in &g.calls {
-        if call.kind != CallKind::Method || !mutators.contains(call.name.as_str()) {
-            continue;
-        }
-        let caller = &g.fns[call.caller];
-        let fi = caller.file;
-        // Only police files that actually traffic in the store type.
-        if store_files.contains(&fi) || !references_store(g, files, fi) {
-            continue;
-        }
-        // Sanctioned: inside a turnstile guard's argument span.
-        if guard_spans[fi]
-            .iter()
-            .any(|&(s, e)| call.byte > s && call.byte < e)
-        {
-            continue;
-        }
-        // Sanctioned: the enclosing fn receives `&mut PlacementStore` — the
-        // reference can only have originated inside a guard upstream.
-        if caller.params.contains("PlacementStore") {
-            continue;
-        }
-        // Sanctioned: the enclosing fn constructs the store (assembly; not
-        // shared yet).
-        let constructs = g.calls.iter().any(|c| {
-            c.caller == call.caller
-                && c.name == "new"
-                && c.qualifier.as_deref() == Some("PlacementStore")
-        });
-        if constructs {
-            continue;
-        }
-        out[fi].push((
-            RuleId::StoreProtocol,
-            RawViolation {
-                byte: call.byte,
-                message: format!(
-                    "store mutator `.{}(...)` outside the turnstile: wrap in `cell.with(shard, now, |st| ...)` / `cell.locked(...)`, or take `&mut PlacementStore` from a dominated helper",
-                    call.name
-                ),
-            },
-        ));
-    }
-}
-
-/// Whether file `fi` references the `PlacementStore` type at all (import,
-/// masked-code mention).
-fn references_store(g: &SymbolGraph, files: &[&SourceFile], fi: usize) -> bool {
-    g.aliases
-        .iter()
-        .any(|a| a.file == fi && a.target == "PlacementStore")
-        || !word_occurrences(&files[fi].code, "PlacementStore").is_empty()
-}
-
-/// Index just past the `)` matching the `(` at `open`.
-fn match_delim_paren(b: &[u8], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < b.len() {
-        match b[i] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    b.len()
 }

@@ -76,7 +76,7 @@ pub enum ProfilePolicy {
 
 /// Scans one parsed source file under the given policy.
 ///
-/// `extra` carries workspace-graph rule hits (R7–R9) attributed to this
+/// `extra` carries workspace-graph rule hits (R7, R8) attributed to this
 /// file; they pass through the same profile, test-exemption, and
 /// suppression machinery as pattern hits.
 pub fn scan_source(
@@ -245,7 +245,7 @@ pub fn scan_path(
 }
 
 /// Loads and scans a set of files as one unit: a symbol graph is built
-/// over the whole set, so the graph rules (R7–R9) see cross-file call
+/// over the whole set, so the graph rules (R7, R8) see cross-file call
 /// chains. Used by the CLI's multi-file mode and the fixture-crate tests.
 pub fn scan_files(
     paths: &[PathBuf],
@@ -357,7 +357,7 @@ pub fn run_workspace(root: &Path, enabled: &[RuleId]) -> io::Result<Report> {
 }
 
 /// The full workspace scan: per-file pattern rules plus the workspace
-/// symbol-graph rules (R7–R9) computed over all sim crates.
+/// symbol-graph rules (R7, R8) computed over all sim crates.
 pub fn run_workspace_with(
     root: &Path,
     enabled: &[RuleId],

@@ -110,7 +110,7 @@ fn main() -> ExitCode {
                     [--list-rules] [--graph-dump] [--r7-index]\n\
                     [--profile sim|harness] [FILES...]\n\n\
              With FILES, scans those files as one unit under --profile (a\n\
-             symbol graph is built over the set, so R7-R9 see cross-file\n\
+             symbol graph is built over the set, so R7 and R8 see cross-file\n\
              call chains; profile directives in the files are honored);\n\
              otherwise scans the whole workspace found at --root (default:\n\
              walk up from cwd).\n\n\

@@ -140,7 +140,7 @@ fn render_violations(out: &mut String, vs: &[Violation]) {
         if i > 0 {
             out.push_str(", ");
         }
-        // `id` is the stable short rule id (R1..R9, R0) and `path` makes
+        // `id` is the stable short rule id (R1..R8, R0) and `path` makes
         // each violation row self-contained, so CI tooling can diff or
         // aggregate rows without joining back to the enclosing file
         // object. Both are append-only schema extensions.

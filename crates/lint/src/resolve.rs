@@ -93,9 +93,8 @@ pub fn resolve_calls(g: &mut SymbolGraph) {
 pub type EntrySpec = (Option<&'static str>, &'static str);
 
 /// The declared hot entry points R7 computes its closure from: the event
-/// queue's schedule/pop surface, the federation turnstile, the
-/// threaded runner, placement, the admission drain, and the heartbeat
-/// replay with its lazy station arrivals. These replace the
+/// queue's schedule/pop surface, placement, the admission drain, and
+/// the heartbeat replay with its lazy station arrivals. These replace the
 /// PR-4-era hand-maintained hot-file list — reachability, not file
 /// membership, now decides what "hot path" means.
 pub const HOT_ENTRY_POINTS: &[EntrySpec] = &[
@@ -103,12 +102,6 @@ pub const HOT_ENTRY_POINTS: &[EntrySpec] = &[
     (Some("EventQueue"), "schedule"),
     (Some("EventQueue"), "pop"),
     (Some("EventQueue"), "pop_if_before"),
-    // Federation turnstile (crates/federation/src/turnstile.rs).
-    (Some("StoreCell"), "with"),
-    (Some("StoreCell"), "publish"),
-    (Some("StoreCell"), "locked"),
-    // Threaded shard runner (crates/federation/src/runner.rs).
-    (None, "run_threaded"),
     // Placement (crates/mgmt/src/placement.rs).
     (Some("Placer"), "place"),
     // Admission drain (crates/mgmt/src/admission.rs).

@@ -33,9 +33,6 @@ pub enum RuleId {
     /// R8: every RNG value must flow from a named derive/substream
     /// constructor — no clones, no literal re-seeding, no shared cells.
     RngStreamDiscipline,
-    /// R9: `PlacementStore` mutation must be dominated by the `StoreCell`
-    /// turnstile API.
-    StoreProtocol,
     /// Meta: malformed or misused `cpsim-lint:` directives.
     LintDirective,
 }
@@ -49,7 +46,6 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::NoStdoutInLibs,
     RuleId::PanicReachability,
     RuleId::RngStreamDiscipline,
-    RuleId::StoreProtocol,
     RuleId::LintDirective,
 ];
 
@@ -64,7 +60,6 @@ impl RuleId {
             RuleId::NoStdoutInLibs => "no-stdout-in-libs",
             RuleId::PanicReachability => "panic-reachability",
             RuleId::RngStreamDiscipline => "rng-stream-discipline",
-            RuleId::StoreProtocol => "store-protocol",
             RuleId::LintDirective => "lint-directive",
         }
     }
@@ -81,7 +76,6 @@ impl RuleId {
             RuleId::NoStdoutInLibs => "R6",
             RuleId::PanicReachability => "R7",
             RuleId::RngStreamDiscipline => "R8",
-            RuleId::StoreProtocol => "R9",
             RuleId::LintDirective => "R0",
         }
     }
@@ -114,13 +108,10 @@ impl RuleId {
                 "library crates must not print: output flows through metrics tables and the bench harness"
             }
             RuleId::PanicReachability => {
-                "no panic/unwrap may be reachable from a hot entry point (event queue, turnstile, runner, placement, admission, heartbeat replay) through any call chain"
+                "no panic/unwrap may be reachable from a hot entry point (event queue, placement, admission, heartbeat replay) through any call chain"
             }
             RuleId::RngStreamDiscipline => {
                 "RNG values must flow from named derive/substream constructors: no stream clones, literal re-seeding, or shared RNG cells"
-            }
-            RuleId::StoreProtocol => {
-                "PlacementStore mutation must go through the StoreCell turnstile (cell.with/cell.locked) or a &mut-store helper it dominates"
             }
             RuleId::LintDirective => {
                 "cpsim-lint directives must parse, name real rules, and carry a non-empty reason"
@@ -140,10 +131,8 @@ impl RuleId {
                 profile == Profile::Sim
             }
             // The graph rules are sim-crate invariants: the harness neither
-            // sits in the hot closure nor touches the store or streams.
-            RuleId::PanicReachability | RuleId::RngStreamDiscipline | RuleId::StoreProtocol => {
-                profile == Profile::Sim
-            }
+            // sits in the hot closure nor derives streams.
+            RuleId::PanicReachability | RuleId::RngStreamDiscipline => profile == Profile::Sim,
         }
     }
 }
@@ -287,7 +276,7 @@ pub fn check(file: &SourceFile, rule: RuleId) -> Vec<RawViolation> {
         // The graph rules need the whole-workspace symbol graph; they are
         // computed in [`crate::graph_rules`] and merged during scan
         // assembly, not pattern-matched per file.
-        RuleId::PanicReachability | RuleId::RngStreamDiscipline | RuleId::StoreProtocol => {}
+        RuleId::PanicReachability | RuleId::RngStreamDiscipline => {}
         // Directive hygiene is handled during scan assembly (it needs the
         // rule registry and profile policy), not by pattern matching.
         RuleId::LintDirective => {}

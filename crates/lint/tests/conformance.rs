@@ -18,7 +18,7 @@ fn scan(name: &str, profile: Profile) -> FileReport {
     scan_path(&fixture(name), profile, ALL_RULES).expect("fixture file readable")
 }
 
-/// Scans a fixture *set* as one unit so the graph rules (R7–R9) see the
+/// Scans a fixture *set* as one unit so the graph rules (R7, R8) see the
 /// cross-file call chains. Reports come back in `names` order.
 fn scan_set(names: &[&str]) -> Vec<FileReport> {
     let paths: Vec<PathBuf> = names.iter().map(|n| fixture(n)).collect();
@@ -254,27 +254,6 @@ fn r8_sanctioned_stream_derivation_passes() {
         "{:?}",
         reports[0].violations
     );
-}
-
-#[test]
-fn r9_flags_naked_store_mutation() {
-    let reports = scan_set(&["r9_bad/store.rs", "r9_bad/user.rs"]);
-    // The defining file polices nothing; the naked `.commit(...)` in the
-    // user file fires.
-    assert_eq!(count(&reports[0], RuleId::StoreProtocol), 0);
-    assert_eq!(
-        count(&reports[1], RuleId::StoreProtocol),
-        1,
-        "{:?}",
-        reports[1].violations
-    );
-}
-
-#[test]
-fn r9_dominated_mutations_pass() {
-    for r in scan_set(&["r9_ok/store.rs", "r9_ok/user.rs"]) {
-        assert_eq!(count(&r, RuleId::StoreProtocol), 0, "{:?}", r.violations);
-    }
 }
 
 #[test]

@@ -22,7 +22,6 @@
 //! [`OpKind::CloneVm`]: crate::OpKind::CloneVm
 //! [`Placer`]: crate::Placer
 
-use cpsim_des::SimTime;
 use cpsim_inventory::{DatastoreId, HostId, Inventory};
 
 /// Outcome of an external placement commit attempt.
@@ -42,21 +41,14 @@ pub enum GateDecision {
 /// Both methods receive the shard's own [`Inventory`] mutably so the
 /// implementation can fold authoritative usage back into the mirror
 /// (e.g. on a periodic refresh, or eagerly for a datastore that just
-/// conflicted), and the current simulation time so a concurrent
-/// implementation can order shared-store accesses in virtual-time order
-/// across shards. Implementations must be deterministic: no wall-clock
+/// conflicted). Implementations must be deterministic: no wall-clock
 /// reads and no randomness outside the simulation's seeded streams.
-///
-/// The `Send` supertrait exists for the conservative parallel runner in
-/// `cpsim-federation`: shards (and therefore their installed gates) move
-/// onto worker threads for the duration of a run.
-pub trait PlacementGate: Send {
+pub trait PlacementGate {
     /// Attempts to commit `mem_mb` + `disk_gb` on `(host, ds)` against
     /// the authoritative view. Called once per placement stage; a retry
     /// after a conflict calls it again with the freshly-picked pair.
     fn commit(
         &mut self,
-        now: SimTime,
         inv: &mut Inventory,
         host: HostId,
         ds: DatastoreId,
@@ -66,5 +58,5 @@ pub trait PlacementGate: Send {
 
     /// Refreshes the shard's mirrored free-capacity view from the
     /// authoritative store (the staleness-window tick).
-    fn sync(&mut self, now: SimTime, inv: &mut Inventory);
+    fn sync(&mut self, inv: &mut Inventory);
 }

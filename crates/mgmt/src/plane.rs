@@ -431,7 +431,7 @@ impl ControlPlane {
         let Some(g) = self.gate.as_mut() else {
             return;
         };
-        g.sync(now, &mut self.inv);
+        g.sync(&mut self.inv);
         self.stats.on_placement_sync();
         let cpu = Self::sample_cost(&self.costs.result_processing, &mut self.rng);
         self.charge_background(now, Station::Cpu, cpu);
@@ -444,7 +444,7 @@ impl ControlPlane {
     /// shared pool (not part of the simulated run).
     pub fn sync_placement_gate_quiet(&mut self) {
         if let Some(g) = self.gate.as_mut() {
-            g.sync(SimTime::ZERO, &mut self.inv);
+            g.sync(&mut self.inv);
         }
     }
 
@@ -565,6 +565,16 @@ impl ControlPlane {
     /// Tasks currently in flight (submitted, not yet finished).
     pub fn tasks_in_flight(&self) -> usize {
         self.tasks.len()
+    }
+
+    /// The VMs in-flight tasks are working on: each task's target and
+    /// the VM it has produced so far. End-of-run audits use this to tell a
+    /// VM a task is still creating or destroying from a leaked one.
+    pub fn vms_in_flight(&self) -> impl Iterator<Item = VmId> + '_ {
+        self.tasks
+            .iter()
+            .flat_map(|(_, t)| [t.report.target_vm, t.report.produced_vm])
+            .flatten()
     }
 
     // ---- event handling --------------------------------------------------
@@ -1028,7 +1038,8 @@ impl ControlPlane {
         };
         let (hosts, inv) = (&self.heartbeat_hosts, &self.inv);
         let host = |i| nth(hosts, i).filter(|&h| inv.host(h).is_some());
-        let Some((delay, close)) = inj.apply(kind, host, |i| nth(&self.datastore_order, i)) else {
+        let Some((delay, close)) = inj.apply(now, kind, host, |i| nth(&self.datastore_order, i))
+        else {
             return;
         };
         out.push(Emit::At(now + delay, MgmtEvent::Fault(close)));
@@ -1169,7 +1180,6 @@ impl ControlPlane {
     /// picks elsewhere).
     fn gate_commit(
         &mut self,
-        now: SimTime,
         host: HostId,
         ds: DatastoreId,
         mem_mb: u64,
@@ -1178,7 +1188,7 @@ impl ControlPlane {
         let Some(g) = self.gate.as_mut() else {
             return Ok(());
         };
-        match g.commit(now, &mut self.inv, host, ds, mem_mb, disk_gb) {
+        match g.commit(&mut self.inv, host, ds, mem_mb, disk_gb) {
             GateDecision::Commit => {
                 self.stats.on_placement_commit();
                 Ok(())
@@ -1220,7 +1230,7 @@ impl ControlPlane {
             .placer
             .place(&self.inv, &self.residency, spec.disk_gb, spec.mem_mb, None)
             .ok_or_else(no_capacity)?;
-        self.gate_commit(cx.now, host, ds, spec.mem_mb, spec.disk_gb)?;
+        self.gate_commit(host, ds, spec.mem_mb, spec.disk_gb)?;
         self.task_mut(cx.tid).report.placement = Some((host, ds));
         Ok(Step::Acquire(
             Scope::global_only().with_host(host).with_datastore(ds),
@@ -1288,7 +1298,7 @@ impl ControlPlane {
             } else {
                 spec.disk_gb + delta
             };
-            self.gate_commit(cx.now, host, ds, spec.mem_mb, commit_gb)?;
+            self.gate_commit(host, ds, spec.mem_mb, commit_gb)?;
             (host, ds)
         };
         self.task_mut(cx.tid).report.placement = Some((host, ds));

@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cpsim_des::{SimDuration, SimRng};
+use cpsim_des::{SimDuration, SimRng, SimTime};
 use cpsim_faults::{FaultKind, RecoveryPolicy};
 use cpsim_hostagent::ServiceMod;
 use cpsim_inventory::{DatastoreId, HostId};
@@ -28,11 +28,12 @@ use rand::Rng;
 struct Keyed<T> {
     /// Entities with an open window.
     open: BTreeSet<T>,
-    /// Fault-plan index -> entities its open windows bound, in open order.
-    /// Close events carry the plan index, not the entity id, so the
-    /// binding made at open time must be remembered (the index<->id
-    /// mapping shifts when hosts or datastores are added mid-run).
-    bindings: BTreeMap<usize, Vec<T>>,
+    /// Fault-plan index -> the close time and entity of each open window
+    /// it bound, in open order. Close events carry the plan index, not
+    /// the entity id, so the binding made at open time must be remembered
+    /// (the index<->id mapping shifts when hosts or datastores are added
+    /// mid-run).
+    bindings: BTreeMap<usize, Vec<(SimTime, T)>>,
 }
 
 impl<T: Copy + Ord> Keyed<T> {
@@ -47,20 +48,27 @@ impl<T: Copy + Ord> Keyed<T> {
         self.open.contains(&id)
     }
 
-    /// Opens a window on `id` for plan index `idx`. `None`, binding
-    /// nothing, when `id` already has one open.
-    fn open(&mut self, idx: usize, id: T) -> Option<()> {
+    /// Opens a window on `id` for plan index `idx`, due to close at
+    /// `closes_at`. `None`, binding nothing, when `id` already has one
+    /// open.
+    fn open(&mut self, idx: usize, id: T, closes_at: SimTime) -> Option<()> {
         self.open.insert(id).then(|| {
-            self.bindings.entry(idx).or_default().push(id);
+            self.bindings.entry(idx).or_default().push((closes_at, id));
         })
     }
 
-    /// Closes the oldest window bound to plan index `idx`, if any.
+    /// Closes the window bound to plan index `idx` that is due first (the
+    /// oldest among equal close times), if any. A close scheduled at open
+    /// time fires at its own window's close time, so it ends that window,
+    /// even when one index has bound two entities.
     fn close(&mut self, idx: usize) {
         let Some(list) = self.bindings.get_mut(&idx) else {
             return;
         };
-        let id = list.remove(0);
+        let Some(due) = (0..list.len()).min_by_key(|&i| list[i].0) else {
+            return;
+        };
+        let (_, id) = list.remove(due);
         if list.is_empty() {
             self.bindings.remove(&idx);
         }
@@ -149,30 +157,33 @@ impl FaultInjector {
         self.policy
     }
 
-    /// Applies one fault event and returns the close to schedule: the
-    /// delay and closing event of the window it opened.
+    /// Applies one fault event at `now` and returns the close to
+    /// schedule: the delay and closing event of the window it opened.
     ///
     /// An opening kind opens its window on the entity its plan index
     /// resolves to through `host` or `ds`. It opens nothing, and returns
     /// `None`, when the index resolves to nothing or that entity's window
-    /// is already open. A closing kind closes the oldest window bound to
-    /// its plan index, or the first open window with its factor, and
-    /// returns `None`.
+    /// is already open. A closing kind closes the window bound to its
+    /// plan index that is due first, or the first open window with its
+    /// factor, and returns `None`.
     pub(crate) fn apply(
         &mut self,
+        now: SimTime,
         kind: FaultKind,
         host: impl Fn(usize) -> Option<HostId>,
         ds: impl Fn(usize) -> Option<DatastoreId>,
     ) -> Option<(SimDuration, FaultKind)> {
+        let closing = kind.closing();
+        let at = now + closing.map_or(SimDuration::ZERO, |(delay, _)| delay);
         match kind {
             FaultKind::HostCrash { host: i, .. } => {
-                host(i).and_then(|h| self.crashed.open(i, h))?
+                host(i).and_then(|h| self.crashed.open(i, h, at))?
             }
             FaultKind::HeartbeatDrops { host: i, .. } => {
-                host(i).and_then(|h| self.hb_dropped.open(i, h))?
+                host(i).and_then(|h| self.hb_dropped.open(i, h, at))?
             }
             FaultKind::DatastoreOutage { ds: i, .. } => {
-                ds(i).and_then(|d| self.ds_down.open(i, d))?
+                ds(i).and_then(|d| self.ds_down.open(i, d, at))?
             }
             FaultKind::AgentSlowdown { factor, .. } => self.agent_slow.open(factor),
             FaultKind::DbDegraded { factor, .. } => self.db_slow.open(factor),
@@ -182,7 +193,7 @@ impl FaultInjector {
             FaultKind::AgentSpeedRestore { factor } => self.agent_slow.close(factor),
             FaultKind::DbRestore { factor } => self.db_slow.close(factor),
         }
-        kind.closing()
+        closing
     }
 
     /// Whether `host` is crashed.
@@ -255,25 +266,60 @@ mod tests {
         HostId::from_parts(n, 1)
     }
 
+    fn at(secs: u64) -> SimTime {
+        SimTime::from_secs(secs)
+    }
+
     #[test]
-    fn keyed_closes_resolve_first_in_first_out() {
+    fn keyed_closes_the_window_due_first() {
         let mut w = Keyed::new();
-        assert_eq!(w.open(3, host(1)), Some(()));
-        assert_eq!(w.open(3, host(2)), Some(()));
+        assert_eq!(w.open(3, host(1), at(90)), Some(()));
+        assert_eq!(w.open(3, host(2), at(60)), Some(()));
+        assert_eq!(w.open(3, host(4), at(90)), Some(()));
         assert!(w.contains(host(1)) && w.contains(host(2)));
         w.close(3);
-        assert!(!w.contains(host(1)), "the oldest binding closes first");
-        assert!(w.contains(host(2)));
+        assert!(!w.contains(host(2)), "the window due first closes first");
+        assert!(w.contains(host(1)) && w.contains(host(4)));
         w.close(3);
-        assert!(!w.contains(host(2)));
+        assert!(!w.contains(host(1)), "equal close times: the oldest");
+        assert!(w.contains(host(4)));
+        w.close(3);
+        assert!(!w.contains(host(4)));
         assert!(w.bindings.is_empty());
+    }
+
+    /// Index 7 names host 3 among four hosts and host 2 once a fifth is
+    /// added. The crash at 20 s holds host 3 until 170 s; the one at
+    /// 120 s holds host 2 until 150 s. Each close ends its own window.
+    #[test]
+    fn a_shorter_later_window_on_one_index_ends_its_own_entity() {
+        let mut inj = injector(0.0);
+        let four: Vec<HostId> = (0..4).map(host).collect();
+        let five: Vec<HostId> = (0..5).map(host).collect();
+        let on = |hosts: &[HostId]| {
+            let hosts = hosts.to_vec();
+            move |i: usize| hosts.get(i % hosts.len()).copied()
+        };
+        let crash = |secs| FaultKind::HostCrash {
+            host: 7,
+            down_for: SimDuration::from_secs(secs),
+        };
+        let recover = FaultKind::HostRecover { host: 7 };
+        assert!(inj.apply(at(20), crash(150), on(&four), |_| None).is_some());
+        assert!(inj.apply(at(120), crash(30), on(&five), |_| None).is_some());
+        assert!(inj.host_down(host(3)) && inj.host_down(host(2)));
+        inj.apply(at(150), recover, on(&five), |_| None);
+        assert!(!inj.host_down(host(2)), "host 2's window is due at 150 s");
+        assert!(inj.host_down(host(3)), "host 3 stays down until 170 s");
+        inj.apply(at(170), recover, on(&five), |_| None);
+        assert!(!inj.host_down(host(3)));
     }
 
     #[test]
     fn keyed_refuses_a_second_window_and_binds_nothing() {
         let mut w = Keyed::new();
-        assert_eq!(w.open(1, host(1)), Some(()));
-        assert_eq!(w.open(5, host(1)), None, "already open");
+        assert_eq!(w.open(1, host(1), at(10)), Some(()));
+        assert_eq!(w.open(5, host(1), at(20)), None, "already open");
         assert!(!w.bindings.contains_key(&5));
         // A close for an index that was never bound changes nothing.
         w.close(5);
@@ -282,7 +328,7 @@ mod tests {
         w.close(1);
         assert!(!w.contains(host(1)));
         // Closed, the entity can open again.
-        assert_eq!(w.open(5, host(1)), Some(()));
+        assert_eq!(w.open(5, host(1), at(30)), Some(()));
     }
 
     #[test]
@@ -331,7 +377,7 @@ mod tests {
             host: 3,
             down_for: SimDuration::from_secs(9),
         };
-        let close = inj.apply(crash, on, no_ds);
+        let close = inj.apply(at(0), crash, on, no_ds);
         assert_eq!(
             close,
             Some((
@@ -340,18 +386,18 @@ mod tests {
             ))
         );
         assert!(inj.host_down(host(1)));
-        assert_eq!(inj.apply(crash, on, no_ds), None, "already down");
+        assert_eq!(inj.apply(at(0), crash, on, no_ds), None, "already down");
         let outage = FaultKind::DatastoreOutage {
             ds: 0,
             duration: SimDuration::from_secs(5),
         };
         assert_eq!(
-            inj.apply(outage, on, no_ds),
+            inj.apply(at(0), outage, on, no_ds),
             None,
             "no datastore to resolve"
         );
         assert_eq!(
-            inj.apply(FaultKind::HostRecover { host: 3 }, on, no_ds),
+            inj.apply(at(0), FaultKind::HostRecover { host: 3 }, on, no_ds),
             None
         );
         assert!(!inj.host_down(host(1)));
@@ -359,9 +405,9 @@ mod tests {
             factor: 2.0,
             duration: SimDuration::from_secs(1),
         };
-        assert!(inj.apply(slow, on, no_ds).is_some());
+        assert!(inj.apply(at(0), slow, on, no_ds).is_some());
         assert_eq!(inj.db_scale(), 2.0);
-        inj.apply(FaultKind::DbRestore { factor: 2.0 }, on, no_ds);
+        inj.apply(at(0), FaultKind::DbRestore { factor: 2.0 }, on, no_ds);
         assert_eq!(inj.db_scale(), 1.0);
     }
 
@@ -375,17 +421,17 @@ mod tests {
             host: 0,
             duration: SimDuration::from_secs(60),
         };
-        inj.apply(drops, on, |_| None);
+        inj.apply(at(0), drops, on, |_| None);
         assert_eq!(inj.heartbeat(h, true), BeatOutcome::Missed);
         assert_eq!(inj.heartbeat(h, true), BeatOutcome::Missed);
         assert_eq!(inj.heartbeat(h, true), BeatOutcome::DeclareDown);
         // Disconnected, further misses declare nothing.
         assert_eq!(inj.heartbeat(h, false), BeatOutcome::Missed);
-        inj.apply(FaultKind::HeartbeatRestore { host: 0 }, on, |_| None);
+        inj.apply(at(0), FaultKind::HeartbeatRestore { host: 0 }, on, |_| None);
         assert_eq!(inj.heartbeat(h, false), BeatOutcome::Reconnect);
         assert_eq!(inj.heartbeat(h, true), BeatOutcome::Answered);
         // The miss counter restarted with the answered beat.
-        inj.apply(drops, on, |_| None);
+        inj.apply(at(0), drops, on, |_| None);
         assert_eq!(inj.heartbeat(h, true), BeatOutcome::Missed);
     }
 

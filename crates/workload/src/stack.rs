@@ -24,7 +24,7 @@ pub trait StackEvent {
 pub trait ReportHook {
     /// Returns the report when the director should see it, or `None`
     /// when the hook has taken it over.
-    fn on_report(&mut self, now: SimTime, report: TaskReport) -> Option<TaskReport>;
+    fn on_report(&mut self, report: TaskReport) -> Option<TaskReport>;
 }
 
 /// The hook of a stack with nothing above it: every report reaches the
@@ -34,7 +34,7 @@ pub struct Forward;
 
 impl ReportHook for Forward {
     #[inline]
-    fn on_report(&mut self, _now: SimTime, report: TaskReport) -> Option<TaskReport> {
+    fn on_report(&mut self, report: TaskReport) -> Option<TaskReport> {
         Some(report)
     }
 }
@@ -54,9 +54,7 @@ pub struct MgmtStack<H = Forward> {
     pub datastores: Vec<DatastoreId>,
     /// Catalog templates, in creation order.
     pub templates: Vec<VmId>,
-    /// Whether finished tasks are appended to `trace` (default on).
-    pub collect_trace: bool,
-    /// The operation trace collected so far.
+    /// The operation trace: every finished task, in completion order.
     pub trace: TraceLog,
     /// Whether full task reports are kept in `task_reports` (default off:
     /// `trace` holds what the experiments read, and a kept report is a
@@ -94,7 +92,6 @@ impl<H: ReportHook> MgmtStack<H> {
             hosts,
             datastores,
             templates,
-            collect_trace: true,
             trace: TraceLog::new(),
             keep_task_reports: false,
             task_reports: Vec::new(),
@@ -130,13 +127,11 @@ impl<H: ReportHook> MgmtStack<H> {
                 None
             }
             Emit::Done(_, r) | Emit::Failed(_, r) => {
-                if self.collect_trace {
-                    self.trace.push_task(&r);
-                }
+                self.trace.push_task(&r);
                 if self.keep_task_reports {
                     self.task_reports.push(r.clone());
                 }
-                let r = self.hook.on_report(now, r)?;
+                let r = self.hook.on_report(r)?;
                 Some(self.director.on_task_report(now, &r, &mut self.plane))
             }
         }

@@ -4,11 +4,10 @@
 //! it. (Shape assertions per experiment live next to each experiment's
 //! implementation.)
 //!
-//! Event counts are deterministic for a seed at every `--jobs` and
-//! `--intra-jobs` setting, so the gate is exact: any change in the work the
-//! kernel does fails it, with no noise and no tolerance. It says nothing
-//! about how long that work takes; wall time is measured by cpbench
-//! (`BENCHMARK.json`).
+//! Event counts are deterministic for a seed at every `--jobs` setting,
+//! so the gate is exact: any change in the work the kernel does fails it,
+//! with no noise and no tolerance. It says nothing about how long that
+//! work takes; wall time is measured by cpbench (`BENCHMARK.json`).
 //!
 //! `cpsim_des::global_events_processed()` is one process-wide counter, and
 //! libtest runs the tests of a file as threads of one process. Every test

@@ -1,12 +1,8 @@
-//! Determinism of both parallel executors: for every experiment,
-//! `--jobs N` (sweep points on threads) must produce byte-identical
-//! tables to `--jobs 1`, and for the federated experiments `--intra-jobs
-//! M` (shards on threads inside one run) must too — at every combination
-//! of the two knobs. Each sweep point derives all randomness from its
-//! own seed and inputs, the sweep executor merges results in point
-//! order, and the intra-run executor commits shared-store effects in
-//! `(virtual time, shard)` order behind the turnstile, so thread
-//! scheduling can only change wall-clock — never output.
+//! Determinism of the sweep executor: for every experiment, `--jobs N`
+//! (sweep points on threads) must produce byte-identical tables to
+//! `--jobs 1`. Each sweep point derives all randomness from its own seed
+//! and inputs, and the sweep executor merges results in point order, so
+//! thread scheduling can only change wall-clock — never output.
 
 use cpsim::experiments::{all, ExpOptions};
 
@@ -50,42 +46,6 @@ macro_rules! identical {
     };
 }
 
-/// The federated experiments are additionally byte-identical across the
-/// intra-run executor width, at every `--jobs` setting. `0` resolves to
-/// one executor per core inside the sim; f14 pins itself sequential the
-/// moment migrations are scheduled, so its rows prove the fallback.
-fn assert_identical_intra(id: &str, seed: u64) {
-    let base = ExpOptions {
-        seed,
-        ..ExpOptions::quick()
-    };
-    let oracle = render(id, &base.with_jobs(1).with_intra_jobs(1));
-    for jobs in [1, 2] {
-        for intra_jobs in [1, 2, 0] {
-            let parallel = render(id, &base.with_jobs(jobs).with_intra_jobs(intra_jobs));
-            assert_eq!(
-                oracle, parallel,
-                "{id} output diverged at --jobs {jobs} --intra-jobs {intra_jobs} (seed {seed})"
-            );
-        }
-    }
-}
-
-macro_rules! identical_intra {
-    ($($name:ident => $id:literal),+ $(,)?) => {
-        $(#[test]
-        fn $name() {
-            assert_identical_intra($id, 2013);
-        })+
-    };
-}
-
-identical_intra!(
-    f10_intra_jobs_identical => "f10",
-    f13_intra_jobs_identical => "f13",
-    f14_intra_jobs_identical => "f14",
-);
-
 identical!(
     t1_jobs_identical => "t1",
     f1_jobs_identical => "f1",
@@ -123,138 +83,6 @@ mod properties {
         fn sweeps_identical_across_seeds(seed in 1u64..1_000_000) {
             for id in ["f5", "f9", "f12"] {
                 assert_identical(id, seed);
-            }
-        }
-    }
-}
-
-mod intra_run_properties {
-    use cpsim_cloud::CloudRequest;
-    use cpsim_des::{SimDuration, SimTime};
-    use cpsim_federation::{FedScenario, FedSim, FedTopology};
-    use cpsim_mgmt::CloneMode;
-    use proptest::prelude::*;
-
-    /// One randomized federation: shard count, staleness window, seed,
-    /// and an instantiate schedule scattered over the shards. Home
-    /// datastores are kept tight so a healthy fraction of placements
-    /// spills into the shared pool and crosses the turnstile.
-    #[derive(Clone, Debug)]
-    struct Case {
-        seed: u64,
-        shards: usize,
-        staleness_s: u64,
-        /// `(at_secs, shard_salt, linked)` per instantiate request.
-        requests: Vec<(u64, usize, bool)>,
-    }
-
-    fn build(case: &Case, intra_jobs: usize) -> FedSim {
-        let mut sim = FedScenario::new(FedTopology {
-            shards: case.shards,
-            home_hosts_per_shard: 2,
-            home_ds_per_shard: 2,
-            home_ds_capacity_gb: 30.0,
-            shared_hosts: 2,
-            shared_ds: 1,
-            shared_ds_capacity_gb: 512.0,
-            host_cpu_mhz: 48_000,
-            host_mem_mb: 524_288,
-            ds_bandwidth_mbps: 200.0,
-            templates: vec![("prop-template".into(), 2, 2_048, 20.0)],
-            initial_vms_per_shard: Vec::new(),
-            initial_vm_disk_gb: 4.0,
-        })
-        .seed(case.seed)
-        .staleness(SimDuration::from_secs(case.staleness_s))
-        .build();
-        sim.set_intra_jobs(intra_jobs);
-        sim.keep_task_reports(true);
-        for &(at_secs, salt, linked) in &case.requests {
-            let s = salt % case.shards;
-            let org = sim.org(s);
-            let template = sim.templates(s)[0];
-            sim.schedule_request(
-                SimTime::from_secs(at_secs),
-                s,
-                CloudRequest::InstantiateVapp {
-                    org,
-                    template,
-                    count: 1,
-                    mode: Some(if linked {
-                        CloneMode::Linked
-                    } else {
-                        CloneMode::Full
-                    }),
-                    lease: None,
-                },
-            );
-        }
-        sim
-    }
-
-    /// Runs to the horizon in uneven slices (parallel slices interleave
-    /// with sequential resumption) and snapshots everything observable.
-    #[allow(clippy::type_complexity)]
-    fn observe(case: &Case, intra_jobs: usize) -> Vec<String> {
-        let mut sim = build(case, intra_jobs);
-        for h in 1..=3u64 {
-            sim.run_until(SimTime::from_secs(1_200 * h));
-        }
-        let mut out = Vec::new();
-        for s in 0..case.shards {
-            out.push(format!("{:?}", sim.trace(s).records()));
-            out.push(format!("{:?}", sim.task_reports(s)));
-            out.push(format!("{:?}", sim.cloud_reports(s)));
-            let st = sim.plane(s).stats();
-            out.push(format!(
-                "{}/{}/{}",
-                st.submitted(),
-                st.completed(),
-                st.placement_conflicts()
-            ));
-        }
-        out.push(format!("{:?}", sim.store_stats()));
-        out.push(sim.events_processed().to_string());
-        out
-    }
-
-    fn case() -> impl Strategy<Value = Case> {
-        (
-            1u64..1_000_000,
-            2usize..=4,
-            1u64..=30,
-            proptest::collection::vec((1u64..1_800, 0usize..64, any::<bool>()), 1..12),
-        )
-            .prop_map(|(seed, shards, staleness_s, requests)| Case {
-                seed,
-                shards,
-                staleness_s,
-                requests,
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig {
-            cases: 6, // each case runs one federation three times
-            .. ProptestConfig::default()
-        })]
-
-        /// For arbitrary seeds, shard counts, staleness windows and
-        /// request schedules, the threaded shard executor is op-for-op
-        /// identical to the sequential oracle — traces, task and cloud
-        /// reports, plane counters, ledger stats, event counts.
-        #[test]
-        fn parallel_shard_execution_matches_the_sequential_oracle(c in case()) {
-            let oracle = observe(&c, 1);
-            for intra_jobs in [2, 0] {
-                let parallel = observe(&c, intra_jobs);
-                prop_assert_eq!(
-                    &oracle,
-                    &parallel,
-                    "diverged at intra_jobs {} (seed {})",
-                    intra_jobs,
-                    c.seed
-                );
             }
         }
     }
