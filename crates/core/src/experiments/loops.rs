@@ -72,9 +72,11 @@ pub fn load_policy() -> ProvisioningPolicy {
 }
 
 /// End-of-run task conservation on one plane, checked in debug builds:
-/// every finished task was traced once, and every submitted task has
-/// finished or is still in flight. The experiments read their results
-/// from the trace, so a lost or doubled record would skew them silently.
+/// every finished task was traced once, every submitted task has
+/// finished or is still in flight, and admission holds exactly the slots
+/// and VM locks of the live tasks' scopes. The experiments read their
+/// results from the trace, so a lost or doubled record would skew them
+/// silently; a leaked slot would throttle the plane.
 pub(crate) fn debug_assert_tasks_conserved(plane: &ControlPlane, trace: &TraceLog) {
     let stats = plane.stats();
     debug_assert_eq!(
@@ -87,6 +89,7 @@ pub(crate) fn debug_assert_tasks_conserved(plane: &ControlPlane, trace: &TraceLo
         stats.completed() + stats.failed() + plane.tasks_in_flight() as u64,
         "submitted tasks != finished + in flight"
     );
+    debug_assert_eq!(plane.check_admission(), Ok(()));
 }
 
 /// Result of a load run.

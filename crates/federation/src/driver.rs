@@ -11,17 +11,12 @@
 //! steps whichever queue holds the smallest `(time, index)`, one event at
 //! a time.
 //!
-//! The one thing the federation adds to each stack is its report hook,
-//! the shard's ledger (`ShardLedger`). It sees every finished task after
-//! the stack has traced it:
-//!
-//! - **Ledger settlement**: when a gated placement's task completes, its
-//!   [`OpenCommit`] is settled — kept as a reservation on success,
-//!   released back to the pool on failure or rollback. Destroying the VM
-//!   later releases the reservation. Settlement only touches the store
-//!   for placements on shared ids; home placements stay shard-private.
-//! - **Migration diversion**: reports tagged at or above
-//!   [`MIG_TAG_BASE`] go to the coordinator instead of the director.
+//! The federation adds two things to each stack. Its plane gets a
+//! [`StoreGate`](crate::StoreGate), through which the plane commits,
+//! settles and releases shared-pool reservations in the store as its
+//! tasks run and finish. Its report hook, the `MigrationOutbox`, sends
+//! reports tagged at or above [`MIG_TAG_BASE`] to the coordinator instead
+//! of the director.
 //!
 //! Around the stacks the federation drives two protocols:
 //!
@@ -41,7 +36,7 @@ use cpsim_inventory::{DatastoreId, HostId, OrgId, VappId, VmId};
 use cpsim_mgmt::{CloneMode, ControlPlane, MgmtEvent, OpKind, Operation, TaskReport};
 use cpsim_workload::{MgmtStack, ReportHook, StackEvent, TraceLog};
 
-use crate::store::{OpenCommit, PlacementStore, StoreStats};
+use crate::store::{PlacementStore, StoreStats};
 
 /// Task tags at or above this value are reserved for migration
 /// operations; the cloud director never sees their reports.
@@ -91,68 +86,16 @@ enum CoordEvent {
     MigrateHandoff(u64),
 }
 
-/// The federation's report hook on one shard's stack: settles the
-/// shared-pool ledger for every finished task and diverts
-/// migration-tagged reports from the director to the coordinator.
-pub(crate) struct ShardLedger {
-    pub(crate) shard: usize,
-    pub(crate) store: Rc<RefCell<PlacementStore>>,
-    /// Local ids belonging to the shared pool: placements touching
-    /// neither set never recorded an [`OpenCommit`], so settlement can
-    /// skip the store entirely.
-    pub(crate) shared_hosts: Vec<HostId>,
-    pub(crate) shared_ds: Vec<DatastoreId>,
-    /// Open ledger reservations held by completed placements, keyed by
-    /// VM so a later destroy releases the shared capacity.
-    // cpsim-lint: allow(no-unordered-iteration): keyed insert/remove only; never iterated
-    pub(crate) reservations: FastMap<VmId, OpenCommit>,
-    /// Completed migration-tagged task reports, drained by the
-    /// coordinator after each step.
-    pub(crate) mig_outbox: Vec<TaskReport>,
-}
+/// The federation's report hook on one shard's stack: holds
+/// migration-tagged reports for the coordinator, which drains them after
+/// each step, and passes every other report on to the director.
+#[derive(Default)]
+pub(crate) struct MigrationOutbox(pub(crate) Vec<TaskReport>);
 
-impl ShardLedger {
-    /// Settles the shared-pool ledger for a finished task.
-    fn settle_ledger(&mut self, r: &TaskReport) {
-        match r.kind {
-            "create-vm" | "clone-full" | "clone-linked" => {
-                let Some((host, ds)) = r.placement else {
-                    return;
-                };
-                if !self.shared_hosts.contains(&host) && !self.shared_ds.contains(&ds) {
-                    // Home placement: the gate never recorded an open
-                    // commit, so there is nothing to settle.
-                    return;
-                }
-                let mut st = self.store.borrow_mut();
-                let Some(oc) = st.take_open(self.shard, host, ds) else {
-                    return;
-                };
-                match r.produced_vm {
-                    Some(vm) if r.error.is_none() && !r.aborted => {
-                        self.reservations.insert(vm, oc);
-                    }
-                    _ => st.release(self.shard, &oc),
-                }
-            }
-            "destroy-vm" => {
-                let Some(vm) = r.target_vm else { return };
-                if r.error.is_none() && !r.aborted {
-                    if let Some(oc) = self.reservations.remove(&vm) {
-                        self.store.borrow_mut().release(self.shard, &oc);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-impl ReportHook for ShardLedger {
+impl ReportHook for MigrationOutbox {
     fn on_report(&mut self, r: TaskReport) -> Option<TaskReport> {
-        self.settle_ledger(&r);
         if r.tag >= MIG_TAG_BASE {
-            self.mig_outbox.push(r);
+            self.0.push(r);
             None
         } else {
             Some(r)
@@ -160,10 +103,10 @@ impl ReportHook for ShardLedger {
     }
 }
 
-/// One shard: its management stack with the ledger as its hook, driven
-/// by that shard's private simulation kernel.
+/// One shard: its management stack with the migration outbox as its
+/// hook, driven by that shard's private simulation kernel.
 pub(crate) struct ShardCore {
-    pub(crate) stack: MgmtStack<ShardLedger>,
+    pub(crate) stack: MgmtStack<MigrationOutbox>,
     pub(crate) staleness: SimDuration,
     pub(crate) initial_vms: Vec<VmId>,
 }
@@ -336,6 +279,7 @@ impl FedSim {
         if horizon > self.now {
             self.now = horizon;
         }
+        debug_assert_eq!(self.check_store_invariants(), Ok(()));
     }
 
     /// Processes the coordinator event at time `t`.
@@ -366,11 +310,11 @@ impl FedSim {
     /// Drains shard `s`'s migration-tagged task reports into the
     /// coordinator's state machine.
     fn drain_outbox(&mut self, s: usize) {
-        if self.shard_sims[s].model().stack.hook.mig_outbox.is_empty() {
+        if self.shard_sims[s].model().stack.hook.0.is_empty() {
             return;
         }
         let now = self.shard_sims[s].now();
-        let reports = std::mem::take(&mut self.shard_sims[s].model_mut().stack.hook.mig_outbox);
+        let reports = std::mem::take(&mut self.shard_sims[s].model_mut().stack.hook.0);
         for r in reports {
             self.on_migration_report(now, s, &r);
         }
@@ -519,47 +463,41 @@ impl FedSim {
         self.store.borrow().check_invariants()
     }
 
-    /// Audits every shard's ledger reservations against its inventory:
+    /// Audits every shard's store reservations against its inventory:
     /// each reservation names a live VM, and each live VM on a shared
     /// host or datastore (templates aside) holds a reservation. A VM that
     /// an in-flight task is still creating or destroying is exempt: its
-    /// capacity is an open commit, or a reservation that the task's
-    /// report will release. Pre-installed VMs sit on home inventory, so
-    /// they never hold one, and a one-shard federation, which installs no
-    /// gate, holds none at all.
+    /// capacity is an open commit, or a reservation that the task will
+    /// release. Pre-installed VMs sit on home inventory, so they never
+    /// hold one, and a one-shard federation, which installs no gate,
+    /// holds none at all.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first shard whose ledger disagrees
-    /// with its inventory.
+    /// Returns a description of the first shard whose reservations
+    /// disagree with its inventory.
     pub fn check_ledger_reservations(&self) -> Result<(), String> {
+        let store = self.store.borrow();
         for (s, sim) in self.shard_sims.iter().enumerate() {
-            let stack = &sim.model().stack;
-            if !stack.plane.placement_gate_enabled() {
+            let plane = &sim.model().stack.plane;
+            if !plane.placement_gate_enabled() {
                 continue;
             }
-            let ledger = &stack.hook;
-            let inv = stack.plane.inventory();
-            let busy: BTreeSet<VmId> = stack.plane.vms_in_flight().collect();
-            // Reservations accounted for: a live VM's, or one a destroy
-            // still in flight will release.
-            let mut matched = 0;
+            let inv = plane.inventory();
+            let busy: BTreeSet<VmId> = plane.vms_in_flight().collect();
+            let reserved: BTreeSet<VmId> = store.reserved_vms(s).collect();
             for (vm, v) in inv.vms() {
-                let reserved = ledger.reservations.contains_key(&vm);
-                matched += usize::from(reserved);
-                let shared = ledger.shared_hosts.contains(&v.host)
-                    || ledger.shared_ds.contains(&v.datastore);
-                if shared && !reserved && !v.is_template && !busy.contains(&vm) {
+                let shared = store.is_shared(s, v.host, v.datastore);
+                if shared && !v.is_template && !reserved.contains(&vm) && !busy.contains(&vm) {
                     return Err(format!(
                         "shard {s}: VM {vm} on shared capacity holds no reservation"
                     ));
                 }
             }
-            matched += busy
+            let stale = reserved
                 .iter()
-                .filter(|&&vm| inv.vm(vm).is_none() && ledger.reservations.contains_key(&vm))
+                .filter(|&&vm| inv.vm(vm).is_none() && !busy.contains(&vm))
                 .count();
-            let stale = ledger.reservations.len() - matched;
             if stale > 0 {
                 return Err(format!("shard {s}: {stale} reservation(s) name no live VM"));
             }
@@ -798,12 +736,14 @@ mod tests {
         sim.check_store_invariants().unwrap();
     }
 
-    /// The ledger audit passes on the real settlement path and fires on a
-    /// ledger that dropped a live VM's reservation or skipped the
-    /// destroy-path release.
+    /// The ledger audit passes on the real settlement path, an instant
+    /// clone of a shared-pool VM included, and fires on a store that
+    /// dropped a live VM's reservation or skipped the destroy-path
+    /// release.
     #[test]
     fn ledger_audit_catches_missing_and_leaked_reservations() {
         let mut sim = FedScenario::new(contended(2)).seed(42).build();
+        sim.keep_task_reports(true);
         burst(&mut sim, 0, 8);
         burst(&mut sim, 1, 8);
         // Mid-run, tasks in flight hold open commits, not reservations.
@@ -816,24 +756,45 @@ mod tests {
         assert!(busy_checks > 0, "no audit ran with tasks in flight");
         sim.run_until(SimTime::from_hours(1));
         sim.check_ledger_reservations().unwrap();
-        let held = sim.shard_sims[0].model().stack.hook.reservations.clone();
-        let &vm = held
-            .keys()
-            .min()
+        let vm = sim
+            .store
+            .borrow()
+            .reserved_vms(0)
+            .next()
             .expect("no shared-pool placement to audit");
 
-        fn reservations(sim: &mut FedSim) -> &mut FastMap<VmId, OpenCommit> {
-            &mut sim.shard_sims[0].model_mut().stack.hook.reservations
-        }
-        let oc = reservations(&mut sim).remove(&vm).unwrap();
+        // An instant clone forks onto its source's shared host and
+        // datastore, so it holds a reservation of its own.
+        let now = sim.now();
+        let fork = OpKind::CloneVm {
+            source: vm,
+            mode: CloneMode::Instant,
+        };
+        sim.schedule_op(now, 0, fork);
+        sim.run_for(SimDuration::from_secs(600));
+        let fork = sim
+            .task_reports(0)
+            .iter()
+            .rfind(|r| r.kind == "clone-instant")
+            .and_then(|r| r.produced_vm)
+            .expect("instant clone produced a VM");
+        sim.check_ledger_reservations().unwrap();
+        assert!(sim.store.borrow().reserved_vms(0).any(|v| v == fork));
+        let now = sim.now();
+        sim.schedule_op(now, 0, OpKind::DestroyVm { vm: fork });
+        sim.run_for(SimDuration::from_secs(600));
+        assert!(!sim.store.borrow().reserved_vms(0).any(|v| v == fork));
+
+        let held = sim.store.borrow_mut().held_mut(0).clone();
+        let r = sim.store.borrow_mut().held_mut(0).remove(&vm).unwrap();
         let err = sim.check_ledger_reservations().unwrap_err();
         assert!(
             err.contains(&format!("VM {vm} on shared capacity")),
             "{err}"
         );
-        reservations(&mut sim).insert(vm, oc);
+        sim.store.borrow_mut().held_mut(0).insert(vm, r);
 
-        // Delete every vApp on shard 0; the destroys release the ledger.
+        // Delete every vApp on shard 0; the destroys release the store.
         let vapps: Vec<_> = sim.cloud_reports(0).iter().filter_map(|r| r.vapp).collect();
         let now = sim.now();
         for vapp in vapps {
@@ -841,11 +802,11 @@ mod tests {
         }
         sim.run_until(SimTime::from_hours(2));
         assert_eq!(sim.plane(0).tasks_in_flight(), 0);
-        assert!(sim.shard_sims[0].model().stack.hook.reservations.is_empty());
+        assert_eq!(sim.store.borrow().reserved_vms(0).count(), 0);
         sim.check_ledger_reservations().unwrap();
 
-        // A ledger that skipped the destroy-path release keeps them all.
-        *reservations(&mut sim) = held;
+        // A store that skipped the destroy-path release keeps them all.
+        *sim.store.borrow_mut().held_mut(0) = held;
         let err = sim.check_ledger_reservations().unwrap_err();
         assert!(
             err.contains("shard 0") && err.contains("name no live VM"),

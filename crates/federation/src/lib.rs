@@ -16,15 +16,18 @@
 //!
 //! ## Architecture
 //!
-//! - [`PlacementStore`]: the shared ledger. Shards commit capacity
-//!   claims synchronously (commit-time conflict detection) but *read*
-//!   the ledger through a mirror refreshed only every staleness window,
-//!   so placement decisions run against a stale view and can collide.
-//! - [`StoreGate`]: the per-shard adapter installed into the control
-//!   plane's placement path. Home placements bypass it; shared-pool
-//!   placements go to the ledger and either commit or come back as a
-//!   retryable conflict, handled by the plane's existing fault-recovery
-//!   machinery (bounded backoff, then abort + rollback).
+//! - [`PlacementStore`]: the shared ledger, and the one owner of every
+//!   shared-pool reservation. Shards commit capacity claims
+//!   synchronously (commit-time conflict detection), keyed by task; a
+//!   finished task's claim is settled onto the VM it produced, which
+//!   holds it until destroyed. Shards *read* the ledger through a mirror
+//!   refreshed only every staleness window, so placement decisions run
+//!   against a stale view and can collide.
+//! - [`StoreGate`]: the per-shard `(shard, store)` handle installed into
+//!   the control plane. Home placements commit trivially; shared-pool
+//!   placements either commit or come back as a retryable conflict,
+//!   handled by the plane's existing fault-recovery machinery (bounded
+//!   backoff, then abort + rollback).
 //! - [`FedScenario`] / [`FedSim`]: builder and driver. One event kernel
 //!   per shard, stepped in one global `(time, shard, seq)` order,
 //!   periodic [`StoreSync`](ShardEvent::StoreSync) ticks that charge
@@ -48,4 +51,4 @@ pub use driver::{FedSim, MigrationReport, ShardEvent, MIG_TAG_BASE};
 pub use gate::StoreGate;
 pub use router::{Router, RouterPolicy};
 pub use scenario::{FedScenario, FedTopology};
-pub use store::{OpenCommit, PlacementStore, StoreStats};
+pub use store::{PlacementStore, StoreStats};

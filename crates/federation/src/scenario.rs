@@ -3,17 +3,16 @@
 //! spillover pool — and build a runnable [`FedSim`].
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cpsim_cloud::{CloudDirector, ProvisioningPolicy};
-use cpsim_des::{FastMap, SimDuration, Streams};
+use cpsim_des::{SimDuration, Streams};
 use cpsim_faults::RecoveryPolicy;
 use cpsim_inventory::{DatastoreSpec, HostSpec, VmSpec};
 use cpsim_mgmt::{CloneMode, ControlPlane, ControlPlaneConfig};
 use cpsim_workload::{install_templates, MgmtStack};
 
-use crate::driver::{FedSim, ShardCore, ShardLedger};
+use crate::driver::{FedSim, MigrationOutbox, ShardCore};
 use crate::gate::StoreGate;
 use crate::store::PlacementStore;
 
@@ -206,7 +205,6 @@ impl FedScenario {
                     t.ds_bandwidth_mbps,
                 )));
             }
-            let shared_ds_local = datastores[t.home_ds_per_shard as usize..].to_vec();
             let mut hosts = Vec::new();
             for i in 0..t.home_hosts_per_shard {
                 hosts.push(plane.add_host(HostSpec::new(
@@ -222,7 +220,6 @@ impl FedScenario {
                     t.host_mem_mb,
                 )));
             }
-            let shared_hosts_local = hosts[t.home_hosts_per_shard as usize..].to_vec();
             for &h in &hosts {
                 for &d in &datastores {
                     plane.connect(h, d).expect("fresh ids");
@@ -258,44 +255,38 @@ impl FedScenario {
             }
 
             if t.shards > 1 {
-                // Contribute this shard's seeded bases on the shared
-                // pool to the ledger, then install the gate and the
-                // conflict-retry machinery (timeout probability zero:
-                // the fault RNG is drawn only for backoff jitter on
+                // Map this shard's shared-pool ids in the store and
+                // contribute its seeded bases there, then install the gate
+                // and the conflict-retry machinery (timeout probability
+                // zero: the fault RNG is drawn only for backoff jitter on
                 // actual conflicts).
-                let mut ds_map = BTreeMap::new();
-                for (k, &local) in shared_ds_local.iter().enumerate() {
+                let mut st = store.borrow_mut();
+                let shared_ds = &datastores[t.home_ds_per_shard as usize..];
+                for (&local, &idx) in shared_ds.iter().zip(&shared_ds_idx) {
                     let used = plane
                         .inventory()
                         .datastore(local)
-                        .map(|d| d.used_gb)
-                        .unwrap_or(0.0);
-                    store.borrow_mut().seed_ds(shared_ds_idx[k], s, used);
-                    ds_map.insert(local, shared_ds_idx[k]);
+                        .map_or(0.0, |d| d.used_gb);
+                    st.share_ds(s, local, idx, used);
                 }
-                let mut host_map = BTreeMap::new();
-                for (k, &local) in shared_hosts_local.iter().enumerate() {
-                    host_map.insert(local, shared_host_idx[k]);
+                let shared_hosts = &hosts[t.home_hosts_per_shard as usize..];
+                for (&local, &idx) in shared_hosts.iter().zip(&shared_host_idx) {
+                    st.share_host(s, local, idx);
                 }
-                plane.set_placement_gate(Box::new(StoreGate::new(
-                    s,
-                    Rc::clone(&store),
-                    ds_map,
-                    host_map,
-                )));
+                plane.set_placement_gate(Box::new(StoreGate::new(s, Rc::clone(&store))));
                 plane.enable_faults(self.recovery, 0.0, streams.substreams(3).rng(s as u64));
             }
 
-            let ledger = ShardLedger {
-                shard: s,
-                store: Rc::clone(&store),
-                shared_hosts: shared_hosts_local,
-                shared_ds: shared_ds_local,
-                reservations: FastMap::default(),
-                mig_outbox: Vec::new(),
-            };
             shards.push(ShardCore {
-                stack: MgmtStack::new(plane, director, org, hosts, datastores, templates, ledger),
+                stack: MgmtStack::new(
+                    plane,
+                    director,
+                    org,
+                    hosts,
+                    datastores,
+                    templates,
+                    MigrationOutbox::default(),
+                ),
                 staleness: self.staleness,
                 initial_vms,
             });

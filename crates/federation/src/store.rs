@@ -1,52 +1,61 @@
-//! The shared [`PlacementStore`]: an authoritative commitment ledger for
-//! the federation's spillover pool.
+//! The shared [`PlacementStore`]: the one owner of the federation's
+//! spillover-pool accounting.
 //!
 //! Every shard owns its home hosts and datastores outright — no ledger,
 //! no races. The shared pool is different: each shard registers the same
-//! physical spillover entities in its own inventory, and the ledger is
+//! physical spillover entities in its own inventory, and the store is
 //! the single source of truth for how much of each one is committed
-//! across the whole federation.
+//! across the whole federation, and by which task or VM.
+//!
+//! A shared-pool reservation lives through three calls, each keyed by
+//! what the committing shard already knows:
+//!
+//! 1. [`commit`](PlacementStore::commit): a task's placement on a shared
+//!    host or datastore is checked against the authoritative free
+//!    capacity and, if it fits, recorded as an open commit under
+//!    `(shard, task)`. A placement touching neither pool entity commits
+//!    trivially and is never recorded.
+//! 2. [`settle`](PlacementStore::settle): when the task finishes, its
+//!    open commit becomes a reservation held under `(shard, VM)` by the
+//!    VM it produced, or returns to the pool if it failed.
+//! 3. [`release`](PlacementStore::release): destroying the VM frees its
+//!    reservation.
 //!
 //! Bookkeeping model, per shared datastore:
 //!
-//! - `committed_gb` — authoritative total commitment, updated
-//!   synchronously at every [`try_commit`](PlacementStore::try_commit) /
-//!   [`release`](PlacementStore::release);
-//! - `contributed_gb[s]` — how much of that total shard `s` committed.
+//! - `committed_gb` — authoritative total commitment;
+//! - `contributed_gb[s]` — how much of that total shard `s` committed:
+//!   its seeded template bases plus its open commits and reservations.
 //!   A shard's own contributions are materialized in its own inventory
 //!   by the storage layer, so only the *foreign* share
 //!   (`committed - contributed[s]`) must be mirrored in;
 //! - `mirrored_gb[s]` — how much foreign usage shard `s` has folded into
 //!   its inventory so far. The mirror is refreshed on the staleness
-//!   window (and eagerly for a datastore that just conflicted), so
-//!   between refreshes a shard's local view under- or over-counts the
-//!   others by whatever they committed or released in the window.
+//!   window, so between refreshes a shard's local view under- or
+//!   over-counts the others by whatever they committed or released in
+//!   the window.
 //!
-//! The conservation invariant `committed == Σ contributed` plus the
-//! capacity bound `0 ≤ committed ≤ cap` are what
-//! [`check_invariants`](PlacementStore::check_invariants) enforces: a
-//! double-booked commit or a leaked release shows up as a violation.
+//! [`check_invariants`](PlacementStore::check_invariants) enforces
+//! `committed == Σ contributed`, `0 ≤ committed ≤ cap`, and that each
+//! shard's contribution is exactly its seeds, open commits and
+//! reservations: a double-booked commit, a skipped release or a double
+//! release shows up as a violation.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use cpsim_inventory::{DatastoreId, HostId};
+use cpsim_inventory::{DatastoreId, HostId, Inventory, TaskId, VmId};
 
-/// One accepted reservation on the shared pool, as recorded at commit
-/// time. The federation driver pops these when the owning task finishes
-/// and either binds them to the produced VM (success) or releases them
-/// (failure/rollback).
+/// Capacity one accepted commit holds on the shared pool.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OpenCommit {
+pub(crate) struct Reservation {
     /// Shared-host index the memory was committed on, if the placement's
     /// host is in the shared pool.
-    pub host: Option<usize>,
+    host: Option<usize>,
     /// Shared-datastore index the disk was committed on, if the
     /// placement's datastore is in the shared pool.
-    pub ds: Option<usize>,
-    /// Committed memory, MB.
-    pub mem_mb: u64,
-    /// Committed disk, GiB.
-    pub disk_gb: f64,
+    ds: Option<usize>,
+    mem_mb: u64,
+    disk_gb: f64,
 }
 
 /// Ledger counters.
@@ -56,8 +65,7 @@ pub struct StoreStats {
     pub commits: u64,
     /// Rejected commits (stale-view conflicts).
     pub conflicts: u64,
-    /// Mirror refreshes (staleness-window ticks plus eager
-    /// post-conflict refreshes).
+    /// Mirror refreshes (staleness-window ticks).
     pub syncs: u64,
     /// Released reservations.
     pub releases: u64,
@@ -69,6 +77,7 @@ struct SharedDs {
     cap_gb: f64,
     committed_gb: f64,
     contributed_gb: Vec<f64>,
+    seeded_gb: Vec<f64>,
     mirrored_gb: Vec<f64>,
 }
 
@@ -78,16 +87,25 @@ struct SharedHost {
     contributed_mem_mb: Vec<u64>,
 }
 
+/// One shard's side of the store: which of its local ids are pool
+/// entities, and what its tasks and VMs hold there.
+#[derive(Default)]
+struct ShardBook {
+    /// Local datastore id → shared-datastore index.
+    ds_index: BTreeMap<DatastoreId, usize>,
+    /// Local host id → shared-host index.
+    host_index: BTreeMap<HostId, usize>,
+    /// Accepted commits whose task has not finished.
+    open: BTreeMap<TaskId, Reservation>,
+    /// Settled commits, held by the VM their task produced.
+    held: BTreeMap<VmId, Reservation>,
+}
+
 /// The authoritative shared-pool commitment ledger.
 pub struct PlacementStore {
-    shards: usize,
     ds: Vec<SharedDs>,
     hosts: Vec<SharedHost>,
-    /// Accepted-but-unsettled reservations, keyed by the committing
-    /// shard and the *local* entity ids its task report will carry.
-    /// A FIFO per key: concurrent same-placement commits settle in
-    /// commit order, which conserves totals exactly.
-    open: BTreeMap<(usize, HostId, DatastoreId), VecDeque<OpenCommit>>,
+    books: Vec<ShardBook>,
     stats: StoreStats,
 }
 
@@ -100,26 +118,27 @@ impl PlacementStore {
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "a federation needs at least one shard");
         PlacementStore {
-            shards,
             ds: Vec::new(),
             hosts: Vec::new(),
-            open: BTreeMap::new(),
+            books: (0..shards).map(|_| ShardBook::default()).collect(),
             stats: StoreStats::default(),
         }
     }
 
     /// Number of shards this ledger serves.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.books.len()
     }
 
     /// Registers a shared datastore of `cap_gb`; returns its index.
     pub fn add_shared_ds(&mut self, cap_gb: f64) -> usize {
+        let shards = self.shards();
         self.ds.push(SharedDs {
             cap_gb,
             committed_gb: 0.0,
-            contributed_gb: vec![0.0; self.shards],
-            mirrored_gb: vec![0.0; self.shards],
+            contributed_gb: vec![0.0; shards],
+            seeded_gb: vec![0.0; shards],
+            mirrored_gb: vec![0.0; shards],
         });
         self.ds.len() - 1
     }
@@ -127,36 +146,39 @@ impl PlacementStore {
     /// Registers a shared host with `cap_mem_mb` of memory; returns its
     /// index.
     pub fn add_shared_host(&mut self, cap_mem_mb: u64) -> usize {
+        let shards = self.shards();
         self.hosts.push(SharedHost {
             cap_mem_mb,
             committed_mem_mb: 0,
-            contributed_mem_mb: vec![0; self.shards],
+            contributed_mem_mb: vec![0; shards],
         });
         self.hosts.len() - 1
     }
 
-    /// Number of shared datastores.
-    pub fn shared_ds_len(&self) -> usize {
-        self.ds.len()
-    }
-
-    /// Seeds setup-time usage (template base disks a shard installed on
-    /// the shared datastore) into the ledger as that shard's
-    /// contribution.
+    /// Records that shard `shard` knows shared datastore `idx` as `local`,
+    /// and seeds `seeded_gb` of setup-time usage there (the template bases
+    /// the shard installed) as that shard's contribution.
     ///
     /// # Panics
     ///
     /// Panics if the seeded usage exceeds the declared capacity.
-    pub fn seed_ds(&mut self, idx: usize, shard: usize, gb: f64) {
+    pub fn share_ds(&mut self, shard: usize, local: DatastoreId, idx: usize, seeded_gb: f64) {
+        self.books[shard].ds_index.insert(local, idx);
         let d = &mut self.ds[idx];
-        d.committed_gb += gb;
-        d.contributed_gb[shard] += gb;
+        d.committed_gb += seeded_gb;
+        d.contributed_gb[shard] += seeded_gb;
+        d.seeded_gb[shard] += seeded_gb;
         assert!(
             d.committed_gb <= d.cap_gb + 1e-9,
             "shared datastore {idx} over-seeded: {} > {}",
             d.committed_gb,
             d.cap_gb
         );
+    }
+
+    /// Records that shard `shard` knows shared host `idx` as `local`.
+    pub fn share_host(&mut self, shard: usize, local: HostId, idx: usize) {
+        self.books[shard].host_index.insert(local, idx);
     }
 
     /// Authoritative committed space on shared datastore `idx`, GiB.
@@ -169,23 +191,35 @@ impl PlacementStore {
         self.ds[idx].cap_gb - self.ds[idx].committed_gb
     }
 
-    /// Attempts to commit a reservation against the authoritative view:
-    /// `disk_gb` on shared datastore `ds` (if any) and `mem_mb` on
-    /// shared host `host` (if any). Both succeed or neither does.
+    /// Commits `task`'s placement of `mem_mb` + `disk_gb` on shard
+    /// `shard`'s local `(host, ds)`: on whichever of the two is in the
+    /// shared pool, both or neither. A placement on home capacity only
+    /// commits trivially.
     ///
     /// # Errors
     ///
     /// Returns the conflict reason when the authoritative free capacity
     /// no longer covers the reservation the shard's stale view promised.
-    pub fn try_commit(
+    pub fn commit(
         &mut self,
         shard: usize,
-        host: Option<usize>,
-        ds: Option<usize>,
+        task: TaskId,
+        host: HostId,
+        ds: DatastoreId,
         mem_mb: u64,
         disk_gb: f64,
     ) -> Result<(), String> {
-        if let Some(di) = ds {
+        let book = &self.books[shard];
+        let r = Reservation {
+            host: book.host_index.get(&host).copied(),
+            ds: book.ds_index.get(&ds).copied(),
+            mem_mb,
+            disk_gb,
+        };
+        if r.host.is_none() && r.ds.is_none() {
+            return Ok(());
+        }
+        if let Some(di) = r.ds {
             let d = &self.ds[di];
             if d.committed_gb + disk_gb > d.cap_gb + 1e-9 {
                 self.stats.conflicts += 1;
@@ -195,7 +229,7 @@ impl PlacementStore {
                 ));
             }
         }
-        if let Some(hi) = host {
+        if let Some(hi) = r.host {
             let h = &self.hosts[hi];
             if h.committed_mem_mb + mem_mb > h.cap_mem_mb {
                 self.stats.conflicts += 1;
@@ -205,89 +239,97 @@ impl PlacementStore {
                 ));
             }
         }
-        if let Some(di) = ds {
+        if let Some(di) = r.ds {
             let d = &mut self.ds[di];
             d.committed_gb += disk_gb;
             d.contributed_gb[shard] += disk_gb;
         }
-        if let Some(hi) = host {
+        if let Some(hi) = r.host {
             let h = &mut self.hosts[hi];
             h.committed_mem_mb += mem_mb;
             h.contributed_mem_mb[shard] += mem_mb;
         }
+        let prev = self.books[shard].open.insert(task, r);
+        debug_assert!(prev.is_none(), "task {task} committed twice");
         self.stats.commits += 1;
         Ok(())
     }
 
-    /// Records an accepted reservation under the local ids the owning
-    /// shard's task report will carry.
-    pub fn record_open(
-        &mut self,
-        shard: usize,
-        host_id: HostId,
-        ds_id: DatastoreId,
-        commit: OpenCommit,
-    ) {
-        self.open
-            .entry((shard, host_id, ds_id))
-            .or_default()
-            .push_back(commit);
-    }
-
-    /// Pops the oldest unsettled reservation for `(shard, host, ds)`,
-    /// if the placement touched the shared pool.
-    pub fn take_open(
-        &mut self,
-        shard: usize,
-        host_id: HostId,
-        ds_id: DatastoreId,
-    ) -> Option<OpenCommit> {
-        let key = (shard, host_id, ds_id);
-        let q = self.open.get_mut(&key)?;
-        let oc = q.pop_front();
-        if q.is_empty() {
-            self.open.remove(&key);
+    /// Settles `task`'s open commit on shard `shard`, if it made one:
+    /// `kept` now holds the reservation, or with `None` it returns to the
+    /// pool (the task failed and rolled back).
+    pub fn settle(&mut self, shard: usize, task: TaskId, kept: Option<VmId>) {
+        let Some(r) = self.books[shard].open.remove(&task) else {
+            return;
+        };
+        match kept {
+            Some(vm) => {
+                self.books[shard].held.insert(vm, r);
+            }
+            None => self.free(shard, &r),
         }
-        oc
     }
 
-    /// Releases a reservation (VM destroyed, or its provisioning task
-    /// failed and rolled back).
-    pub fn release(&mut self, shard: usize, commit: &OpenCommit) {
-        if let Some(di) = commit.ds {
+    /// Frees the reservation `vm` holds on shard `shard`, if any (the VM
+    /// was destroyed).
+    pub fn release(&mut self, shard: usize, vm: VmId) {
+        if let Some(r) = self.books[shard].held.remove(&vm) {
+            self.free(shard, &r);
+        }
+    }
+
+    fn free(&mut self, shard: usize, r: &Reservation) {
+        if let Some(di) = r.ds {
             let d = &mut self.ds[di];
-            d.committed_gb = (d.committed_gb - commit.disk_gb).max(0.0);
-            d.contributed_gb[shard] = (d.contributed_gb[shard] - commit.disk_gb).max(0.0);
+            d.committed_gb = (d.committed_gb - r.disk_gb).max(0.0);
+            d.contributed_gb[shard] = (d.contributed_gb[shard] - r.disk_gb).max(0.0);
         }
-        if let Some(hi) = commit.host {
+        if let Some(hi) = r.host {
             let h = &mut self.hosts[hi];
-            h.committed_mem_mb = h.committed_mem_mb.saturating_sub(commit.mem_mb);
-            h.contributed_mem_mb[shard] = h.contributed_mem_mb[shard].saturating_sub(commit.mem_mb);
+            h.committed_mem_mb = h.committed_mem_mb.saturating_sub(r.mem_mb);
+            h.contributed_mem_mb[shard] = h.contributed_mem_mb[shard].saturating_sub(r.mem_mb);
         }
         self.stats.releases += 1;
     }
 
     /// Foreign commitment on shared datastore `idx` from shard `shard`'s
     /// point of view: what everyone else committed.
-    pub fn foreign_gb(&self, shard: usize, idx: usize) -> f64 {
+    fn foreign_gb(&self, shard: usize, idx: usize) -> f64 {
         let d = &self.ds[idx];
         d.committed_gb - d.contributed_gb[shard]
     }
 
-    /// Advances shard `shard`'s mirror of shared datastore `idx` to the
-    /// current foreign commitment and returns the delta the caller must
-    /// fold into the shard's inventory (may be negative after releases).
-    pub fn mirror_delta(&mut self, shard: usize, idx: usize) -> f64 {
-        let foreign = self.foreign_gb(shard, idx);
-        let d = &mut self.ds[idx];
-        let delta = foreign - d.mirrored_gb[shard];
-        d.mirrored_gb[shard] = foreign;
-        delta
+    /// Folds the foreign commitment on every shared datastore into shard
+    /// `shard`'s inventory mirror (a delta may be negative after
+    /// releases), and counts one refresh.
+    pub fn sync(&mut self, shard: usize, inv: &mut Inventory) {
+        for (&local, &di) in &self.books[shard].ds_index {
+            let foreign = self.foreign_gb(shard, di);
+            let mirrored = &mut self.ds[di].mirrored_gb[shard];
+            let delta = foreign - *mirrored;
+            *mirrored = foreign;
+            if delta != 0.0 {
+                let _ = inv.adjust_datastore_usage(local, delta);
+            }
+        }
+        self.stats.syncs += 1;
     }
 
-    /// Notes one staleness-window mirror refresh.
-    pub fn on_sync(&mut self) {
-        self.stats.syncs += 1;
+    /// Whether shard `shard`'s local `host` or `ds` is in the shared pool.
+    pub fn is_shared(&self, shard: usize, host: HostId, ds: DatastoreId) -> bool {
+        let book = &self.books[shard];
+        book.host_index.contains_key(&host) || book.ds_index.contains_key(&ds)
+    }
+
+    /// The VMs holding a reservation on shard `shard`, in id order.
+    pub fn reserved_vms(&self, shard: usize) -> impl Iterator<Item = VmId> + '_ {
+        self.books[shard].held.keys().copied()
+    }
+
+    /// Shard `shard`'s reservations, for tests that corrupt them.
+    #[cfg(test)]
+    pub(crate) fn held_mut(&mut self, shard: usize) -> &mut BTreeMap<VmId, Reservation> {
+        &mut self.books[shard].held
     }
 
     /// Notes one cross-shard migration handoff.
@@ -300,19 +342,29 @@ impl PlacementStore {
         self.stats
     }
 
-    /// Unsettled reservations currently recorded.
-    pub fn open_len(&self) -> usize {
-        self.open.values().map(VecDeque::len).sum()
-    }
-
     /// Verifies ledger conservation: every committed unit is attributed
-    /// to exactly one shard, commitments never exceed capacity or go
-    /// negative, and mirrors never exceed what was ever committed.
+    /// to exactly one shard; each shard's contribution to each shared
+    /// entity is its seeds plus its open commits and reservations there;
+    /// commitments never exceed capacity or go negative; and mirrors
+    /// never exceed capacity.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
+        // What each shard's books hold, per shared entity.
+        let mut disk: Vec<Vec<f64>> = self.ds.iter().map(|d| d.seeded_gb.clone()).collect();
+        let mut mem = vec![vec![0_u64; self.shards()]; self.hosts.len()];
+        for (s, book) in self.books.iter().enumerate() {
+            for r in book.open.values().chain(book.held.values()) {
+                if let Some(di) = r.ds {
+                    disk[di][s] += r.disk_gb;
+                }
+                if let Some(hi) = r.host {
+                    mem[hi][s] += r.mem_mb;
+                }
+            }
+        }
         for (i, d) in self.ds.iter().enumerate() {
             let sum: f64 = d.contributed_gb.iter().sum();
             if (sum - d.committed_gb).abs() > 1e-6 {
@@ -327,8 +379,13 @@ impl PlacementStore {
                     d.committed_gb, d.cap_gb
                 ));
             }
-            if d.contributed_gb.iter().any(|&c| c < -1e-9) {
-                return Err(format!("shared ds {i}: negative contribution"));
+            for (s, (&c, &booked)) in d.contributed_gb.iter().zip(&disk[i]).enumerate() {
+                if (c - booked).abs() > 1e-6 {
+                    return Err(format!(
+                        "shared ds {i}: shard {s} contributes {c:.6} GiB, \
+                         its seeds, commits and reservations hold {booked:.6}"
+                    ));
+                }
             }
             if d.mirrored_gb
                 .iter()
@@ -348,6 +405,14 @@ impl PlacementStore {
             if h.committed_mem_mb > h.cap_mem_mb {
                 return Err(format!("shared host {i}: memory over-committed"));
             }
+            for (s, (&c, &booked)) in h.contributed_mem_mb.iter().zip(&mem[i]).enumerate() {
+                if c != booked {
+                    return Err(format!(
+                        "shared host {i}: shard {s} contributes {c} MB, \
+                         its commits and reservations hold {booked}"
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -358,104 +423,135 @@ mod tests {
     use super::*;
     use cpsim_inventory::EntityId;
 
-    fn ids() -> (HostId, DatastoreId) {
-        (HostId::from_parts(0, 1), DatastoreId::from_parts(0, 1))
+    /// Shard-local ids: each shard knows shared datastore 0 as `ds(0)`
+    /// and shared host 0 as `host(0)`; `home()` is in no pool.
+    fn ds(i: u32) -> DatastoreId {
+        DatastoreId::from_parts(i, 1)
+    }
+    fn host(i: u32) -> HostId {
+        HostId::from_parts(i, 1)
+    }
+    fn home() -> HostId {
+        HostId::from_parts(9, 1)
+    }
+    fn task(i: u32) -> TaskId {
+        TaskId::from_parts(i, 1)
+    }
+    fn vm(i: u32) -> VmId {
+        VmId::from_parts(i, 1)
+    }
+
+    /// A store of `shards` over one shared datastore of `cap_gb` (index
+    /// 0, seeded with `seed_gb` per shard) and one shared host.
+    fn store(shards: usize, cap_gb: f64, seed_gb: f64) -> PlacementStore {
+        let mut st = PlacementStore::new(shards);
+        let di = st.add_shared_ds(cap_gb);
+        let hi = st.add_shared_host(4_096);
+        for s in 0..shards {
+            st.share_ds(s, ds(0), di, seed_gb);
+            st.share_host(s, host(0), hi);
+        }
+        st
     }
 
     #[test]
     fn two_shards_race_one_winner() {
-        let mut st = PlacementStore::new(2);
-        let di = st.add_shared_ds(100.0);
-        st.seed_ds(di, 0, 49.0);
-        st.seed_ds(di, 1, 49.0);
+        let mut st = store(2, 100.0, 49.0);
         // 2 GiB free; both shards' stale views still show room for 2.
-        assert!(st.try_commit(0, None, Some(di), 2_048, 2.0).is_ok());
-        let err = st.try_commit(1, None, Some(di), 2_048, 2.0).unwrap_err();
+        assert!(st.commit(0, task(1), home(), ds(0), 2_048, 2.0).is_ok());
+        let err = st
+            .commit(1, task(1), home(), ds(0), 2_048, 2.0)
+            .unwrap_err();
         assert!(err.contains("conflict"), "{err}");
         assert_eq!(st.stats().commits, 1);
         assert_eq!(st.stats().conflicts, 1);
         // No double booking: committed stays within capacity.
-        assert!(st.committed_gb(di) <= 100.0);
+        assert!(st.committed_gb(0) <= 100.0);
         st.check_invariants().unwrap();
         // The loser's refreshed mirror now sees the winner's commit.
-        assert!((st.foreign_gb(1, di) - 51.0).abs() < 1e-9);
+        assert!((st.foreign_gb(1, 0) - 51.0).abs() < 1e-9);
     }
 
     #[test]
     fn release_restores_capacity_without_leaks() {
-        let mut st = PlacementStore::new(2);
-        let di = st.add_shared_ds(10.0);
-        let hi = st.add_shared_host(4_096);
-        st.try_commit(0, Some(hi), Some(di), 1_024, 10.0).unwrap();
-        assert!(st.try_commit(1, None, Some(di), 0, 1.0).is_err());
-        let oc = OpenCommit {
-            host: Some(hi),
-            ds: Some(di),
-            mem_mb: 1_024,
-            disk_gb: 10.0,
-        };
-        st.release(0, &oc);
+        let mut st = store(2, 10.0, 0.0);
+        st.commit(0, task(1), host(0), ds(0), 1_024, 10.0).unwrap();
+        assert!(st.commit(1, task(1), home(), ds(0), 0, 1.0).is_err());
+        st.settle(0, task(1), Some(vm(1)));
         st.check_invariants().unwrap();
-        assert!((st.free_gb(di) - 10.0).abs() < 1e-9);
-        assert!(st.try_commit(1, None, Some(di), 0, 1.0).is_ok());
+        assert_eq!(st.reserved_vms(0).collect::<Vec<_>>(), [vm(1)]);
+        st.release(0, vm(1));
+        st.check_invariants().unwrap();
+        assert!((st.free_gb(0) - 10.0).abs() < 1e-9);
+        assert!(st.commit(1, task(1), home(), ds(0), 0, 1.0).is_ok());
         st.check_invariants().unwrap();
     }
 
     #[test]
-    fn mirror_delta_tracks_foreign_commits_only() {
-        let mut st = PlacementStore::new(2);
-        let di = st.add_shared_ds(100.0);
-        st.try_commit(0, None, Some(di), 0, 5.0).unwrap();
-        st.try_commit(1, None, Some(di), 0, 3.0).unwrap();
+    fn sync_mirrors_foreign_commits_only() {
+        let mut st = store(2, 100.0, 0.0);
+        let mut inv = Inventory::new();
+        let local = inv.add_datastore(cpsim_inventory::DatastoreSpec::new("shared", 100.0, 200.0));
+        assert_eq!(local, ds(0));
+        st.commit(0, task(1), home(), ds(0), 0, 5.0).unwrap();
+        st.commit(1, task(1), home(), ds(0), 0, 3.0).unwrap();
         // Shard 0 mirrors only shard 1's 3 GiB.
-        assert!((st.mirror_delta(0, di) - 3.0).abs() < 1e-9);
-        // Nothing new since: delta is zero.
-        assert_eq!(st.mirror_delta(0, di), 0.0);
-        // After shard 1 releases, the delta goes negative.
-        let oc = OpenCommit {
-            host: None,
-            ds: Some(di),
-            mem_mb: 0,
-            disk_gb: 3.0,
-        };
-        st.release(1, &oc);
-        assert!((st.mirror_delta(0, di) + 3.0).abs() < 1e-9);
+        st.sync(0, &mut inv);
+        assert!((inv.datastore(local).unwrap().used_gb - 3.0).abs() < 1e-9);
+        // Nothing new since: the mirror stays put.
+        st.sync(0, &mut inv);
+        assert!((inv.datastore(local).unwrap().used_gb - 3.0).abs() < 1e-9);
+        // Shard 1's task fails: its commit returns to the pool.
+        st.settle(1, task(1), None);
+        st.sync(0, &mut inv);
+        assert!(inv.datastore(local).unwrap().used_gb.abs() < 1e-9);
+        assert_eq!(st.stats().syncs, 3);
         st.check_invariants().unwrap();
     }
 
     #[test]
-    fn open_commit_fifo_settles_in_order() {
-        let mut st = PlacementStore::new(1);
-        let di = st.add_shared_ds(100.0);
-        let (h, d) = ids();
-        st.try_commit(0, None, Some(di), 0, 1.0).unwrap();
-        st.record_open(
-            0,
-            h,
-            d,
-            OpenCommit {
-                host: None,
-                ds: Some(di),
-                mem_mb: 0,
-                disk_gb: 1.0,
-            },
-        );
-        st.try_commit(0, None, Some(di), 0, 2.0).unwrap();
-        st.record_open(
-            0,
-            h,
-            d,
-            OpenCommit {
-                host: None,
-                ds: Some(di),
-                mem_mb: 0,
-                disk_gb: 2.0,
-            },
-        );
-        assert_eq!(st.open_len(), 2);
-        assert_eq!(st.take_open(0, h, d).unwrap().disk_gb, 1.0);
-        assert_eq!(st.take_open(0, h, d).unwrap().disk_gb, 2.0);
-        assert!(st.take_open(0, h, d).is_none());
-        assert_eq!(st.open_len(), 0);
+    fn home_placements_never_reach_the_books() {
+        let mut st = store(2, 10.0, 0.0);
+        st.commit(0, task(1), home(), ds(7), 512, 5.0).unwrap();
+        st.settle(0, task(1), Some(vm(1)));
+        assert_eq!(st.stats().commits, 0);
+        assert_eq!(st.reserved_vms(0).count(), 0);
+        assert!(!st.is_shared(0, home(), ds(7)));
+        assert!(st.is_shared(0, home(), ds(0)) && st.is_shared(0, host(0), ds(7)));
+    }
+
+    /// Two commits on one `(host, ds)` pair settle by task: whichever
+    /// finishes first keeps its own size, and destroying its VM frees
+    /// exactly that.
+    #[test]
+    fn settlement_follows_the_task_not_the_placement() {
+        let mut st = store(1, 100.0, 20.0);
+        st.commit(0, task(1), home(), ds(0), 0, 20.0).unwrap();
+        st.commit(0, task(2), home(), ds(0), 0, 1.0).unwrap();
+        st.settle(0, task(2), Some(vm(2)));
+        st.release(0, vm(2));
+        assert!((st.committed_gb(0) - 40.0).abs() < 1e-9);
+        st.check_invariants().unwrap();
+        st.settle(0, task(1), Some(vm(1)));
+        st.release(0, vm(1));
+        assert!((st.committed_gb(0) - 20.0).abs() < 1e-9);
+        st.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn invariants_tie_contributions_to_the_books() {
+        let mut st = store(2, 100.0, 10.0);
+        st.commit(0, task(1), host(0), ds(0), 512, 4.0).unwrap();
+        st.settle(0, task(1), Some(vm(1)));
+        st.check_invariants().unwrap();
+        // A reservation dropped without freeing its capacity.
+        let r = st.books[0].held.remove(&vm(1)).unwrap();
+        let err = st.check_invariants().unwrap_err();
+        assert!(err.contains("shard 0 contributes 14.0"), "{err}");
+        // Freed twice: the contribution falls below the books.
+        st.books[0].held.insert(vm(1), r);
+        st.free(0, &r);
+        let err = st.check_invariants().unwrap_err();
+        assert!(err.contains("shard 0 contributes 10.0"), "{err}");
     }
 }

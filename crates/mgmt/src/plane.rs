@@ -6,6 +6,7 @@
 //! [`ControlPlane::handle`] and route the returned [`Emit`]s.
 
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 
 use cpsim_des::FastMap;
 
@@ -577,6 +578,42 @@ impl ControlPlane {
             .flatten()
     }
 
+    /// Checks admission conservation: the global slots in use are the
+    /// live tasks holding a scope, and the VM locks held are the distinct
+    /// VMs those scopes name. A scope dropped without release, or taken
+    /// twice, leaks a slot or a lock and fails this.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first mismatch.
+    pub fn check_admission(&self) -> Result<(), String> {
+        let scopes: Vec<&Scope> = self
+            .tasks
+            .iter()
+            .filter_map(|(_, t)| t.scope.as_deref())
+            .collect();
+        let slots = self.admission.in_flight() as usize;
+        if slots != scopes.len() {
+            return Err(format!(
+                "{slots} global slots in use, {} tasks hold a scope",
+                scopes.len()
+            ));
+        }
+        let vms: BTreeSet<VmId> = scopes
+            .iter()
+            .flat_map(|s| s.vms.iter().chain(&s.vms_shared))
+            .copied()
+            .collect();
+        let locks = self.admission.vm_locks_held();
+        if locks != vms.len() {
+            return Err(format!(
+                "{locks} VM locks held, held scopes name {} VMs",
+                vms.len()
+            ));
+        }
+        Ok(())
+    }
+
     // ---- event handling --------------------------------------------------
 
     /// Submits an operation at `now`, appending follow-up emissions to
@@ -938,6 +975,15 @@ impl ControlPlane {
         }
         let failed = error.is_some();
         let mut report = task.report;
+        if let Some(g) = self.gate.as_mut() {
+            // Settled in the kernel event that finishes the task. No gate
+            // commit can come between a task's commit and this: placement
+            // precedes the task's only `Acquire`.
+            g.settle(tid, report.produced_vm.filter(|_| !failed));
+            if let (false, OpKind::DestroyVm { vm }) = (failed, &task.op) {
+                g.release(*vm);
+            }
+        }
         report.completed_at = now;
         report.latency = now.since(report.submitted_at);
         report.error = error;
@@ -1173,13 +1219,13 @@ impl ControlPlane {
         }
     }
 
-    /// Commits a freshly-picked placement against the external gate, if
-    /// one is installed. Fails retryably when the authoritative store
-    /// rejected the reservation (the gate refreshes the contended
-    /// datastore's mirror before returning, so the retried placement scan
-    /// picks elsewhere).
+    /// Commits `tid`'s freshly-picked placement against the external
+    /// gate, if one is installed. Fails retryably when the authoritative
+    /// store rejected the reservation; the retried placement scan runs on
+    /// whatever view the next sync leaves.
     fn gate_commit(
         &mut self,
+        tid: TaskId,
         host: HostId,
         ds: DatastoreId,
         mem_mb: u64,
@@ -1188,7 +1234,7 @@ impl ControlPlane {
         let Some(g) = self.gate.as_mut() else {
             return Ok(());
         };
-        match g.commit(&mut self.inv, host, ds, mem_mb, disk_gb) {
+        match g.commit(tid, host, ds, mem_mb, disk_gb) {
             GateDecision::Commit => {
                 self.stats.on_placement_commit();
                 Ok(())
@@ -1230,7 +1276,7 @@ impl ControlPlane {
             .placer
             .place(&self.inv, &self.residency, spec.disk_gb, spec.mem_mb, None)
             .ok_or_else(no_capacity)?;
-        self.gate_commit(host, ds, spec.mem_mb, spec.disk_gb)?;
+        self.gate_commit(cx.tid, host, ds, spec.mem_mb, spec.disk_gb)?;
         self.task_mut(cx.tid).report.placement = Some((host, ds));
         Ok(Step::Acquire(
             Scope::global_only().with_host(host).with_datastore(ds),
@@ -1268,7 +1314,10 @@ impl ControlPlane {
             .vm(source)
             .ok_or_else(|| Step::Fail(format!("clone source {source} no longer exists")))?;
         let (host, ds) = if mode == CloneMode::Instant {
-            (src.host, src.datastore)
+            let (host, ds, mem_mb) = (src.host, src.datastore, src.spec.mem_mb);
+            let delta = self.cfg.linked_delta_gb;
+            self.gate_commit(cx.tid, host, ds, mem_mb, delta)?;
+            (host, ds)
         } else {
             let spec = src.spec;
             let linked = mode == CloneMode::Linked;
@@ -1298,7 +1347,7 @@ impl ControlPlane {
             } else {
                 spec.disk_gb + delta
             };
-            self.gate_commit(host, ds, spec.mem_mb, commit_gb)?;
+            self.gate_commit(cx.tid, host, ds, spec.mem_mb, commit_gb)?;
             (host, ds)
         };
         self.task_mut(cx.tid).report.placement = Some((host, ds));
